@@ -16,8 +16,6 @@ ADMISSIBLE = "admissible"
 INADMISSIBLE = "inadmissible"
 PARTITIONED = "partitioned"
 
-ETA_DEFAULTS = (0.25, 0.5, 1.0, 2.0)
-
 
 class BlockNode:
     """Node of the block tree over a (row cluster, column cluster) pair."""
@@ -154,22 +152,3 @@ def build_diagonal_2x2_tree(n, depth, upper_right_split=False):
 
     return build_diag(tree.root, 0), tree
 
-
-def block_structure_dump(root, ranks=None):
-    """Leaf list dump: one leaf per line with ranges, kind and rank.
-
-    ``ranks`` optionally maps a leaf BlockNode to its current rank; dense
-    leaves dump their full size, admissible leaves without rank dump '-'.
-    """
-    lines = []
-    for leaf in root.leaves():
-        r0, r1 = leaf.row_range
-        c0, c1 = leaf.col_range
-        if leaf.kind == INADMISSIBLE:
-            rank = "dense"
-        elif ranks is not None and leaf in ranks:
-            rank = str(ranks[leaf])
-        else:
-            rank = "-"
-        lines.append(f"[{r0}:{r1}) [{c0}:{c1}) {leaf.kind} {rank}")
-    return "\n".join(lines) + "\n"

@@ -21,11 +21,10 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .blocks import PARTITIONED
 from .hmatrix import DENSE, HMatrix, LOWRANK, Skeleton, StructureError, build_skeleton
-from .hmatrix import _matvec_into
+from .hmatrix import _matvec_into, _Window
 from .lowrank import (
     LowRank,
     TruncationControl,
@@ -90,107 +89,26 @@ def make_plan(
     )
 
 
-# -- operand views -------------------------------------------------------------
-
-
-class _Window:
-    """Rectangular window of a leaf block, in global index coordinates."""
-
-    __slots__ = ("leaf", "r0", "r1", "c0", "c1")
-
-    def __init__(self, leaf, r0, r1, c0, c1):
-        self.leaf = leaf
-        self.r0 = r0
-        self.r1 = r1
-        self.c0 = c0
-        self.c1 = c1
-
-
-def _rows(op):
-    return (op.r0, op.r1) if isinstance(op, _Window) else op.row_range
-
-
-def _cols(op):
-    return (op.c0, op.c1) if isinstance(op, _Window) else op.col_range
-
-
-def _is_part(op):
-    return isinstance(op, HMatrix) and op.kind == PARTITIONED
-
-
-def _is_lowrank(op):
-    leaf = op.leaf if isinstance(op, _Window) else op
-    return leaf.kind == LOWRANK
+# -- operands -----------------------------------------------------------------
 
 
 def _slice(op, rows, cols):
-    if isinstance(op, _Window):
-        leaf = op.leaf
-    elif op.kind == PARTITIONED:
+    """The rows x cols part of a leaf or window; a whole leaf stays itself."""
+    if op.kind == PARTITIONED:
         raise StructureError("cannot window a partitioned block")
-    else:
-        leaf = op
-    if rows == _rows(op) and cols == _cols(op) and isinstance(op, HMatrix):
+    if isinstance(op, HMatrix) and rows == op.row_range and cols == op.col_range:
         return op
-    return _Window(leaf, rows[0], rows[1], cols[0], cols[1])
+    return _Window(op, rows, cols)
 
 
-def _op_leaf(op):
-    return op.leaf if isinstance(op, _Window) else op
-
-
-def _factors(op):
-    """Factor pair of a low-rank leaf or window (row/col windows applied)."""
-    leaf = _op_leaf(op)
-    lr = leaf.data
-    r0, r1 = _rows(op)
-    c0, c1 = _cols(op)
-    br0, bc0 = leaf.row_range[0], leaf.col_range[0]
-    return lr.a[r0 - br0 : r1 - br0], lr.b[c0 - bc0 : c1 - bc0]
-
-
-def _dense_window(op):
-    leaf = _op_leaf(op)
-    r0, r1 = _rows(op)
-    c0, c1 = _cols(op)
-    br0, bc0 = leaf.row_range[0], leaf.col_range[0]
-    return leaf.data[r0 - br0 : r1 - br0, c0 - bc0 : c1 - bc0]
-
-
-def _op_matmat(op, x):
-    """op @ x for an H-node or window, resolved at call time."""
-    if isinstance(op, HMatrix) and op.kind == PARTITIONED:
-        r0 = op.row_range[0]
-        c0 = op.col_range[0]
-        y = np.zeros((op.rows, x.shape[1]))
-        for row in op.data:
-            for child in row:
-                i0, i1 = child.row_range
-                j0, j1 = child.col_range
-                y[i0 - r0 : i1 - r0] += _op_matmat(child, x[j0 - c0 : j1 - c0])
-        return y
-    if _is_lowrank(op):
-        a, b = _factors(op)
-        return a @ (b.T @ x)
-    return _dense_window(op) @ x
-
-
-def _op_t_matmat(op, x):
-    """op.T @ x."""
-    if isinstance(op, HMatrix) and op.kind == PARTITIONED:
-        r0 = op.row_range[0]
-        c0 = op.col_range[0]
-        y = np.zeros((op.cols, x.shape[1]))
-        for row in op.data:
-            for child in row:
-                i0, i1 = child.row_range
-                j0, j1 = child.col_range
-                y[j0 - c0 : j1 - c0] += _op_t_matmat(child, x[i0 - r0 : i1 - r0])
-        return y
-    if _is_lowrank(op):
-        a, b = _factors(op)
-        return b @ (a.T @ x)
-    return _dense_window(op).T @ x
+def _times(op, x, right=False):
+    """op @ x, or x @ op if ``right``, as a new array."""
+    if right:
+        y = np.zeros((x.shape[0], op.col_range[1] - op.col_range[0]))
+    else:
+        y = np.zeros((op.row_range[1] - op.row_range[0], x.shape[1]))
+    _matvec_into(op, x, y, right)
+    return y
 
 
 def _row_splits(op):
@@ -201,78 +119,27 @@ def _col_splits(op):
     return [child.col_range for child in op.data[0]]
 
 
-def _op_gemm_into(dst, op, x):
-    """dst -= op @ x accumulated in place, recursing over partitions."""
-    if isinstance(op, HMatrix) and op.kind == PARTITIONED:
-        r0 = op.row_range[0]
-        c0 = op.col_range[0]
-        for row in op.data:
-            for child in row:
-                i0, i1 = child.row_range
-                j0, j1 = child.col_range
-                _op_gemm_into(dst[i0 - r0 : i1 - r0], child, x[j0 - c0 : j1 - c0])
-        return
-    if _is_lowrank(op):
-        a, b = _factors(op)
-        gemm_update(dst, a, b.T @ x)
-        return
-    gemm_update(dst, _dense_window(op), x)
-
-
-def _op_t_gemm_into(dst, op, x):
-    """dst -= op.T @ x accumulated in place."""
-    if isinstance(op, HMatrix) and op.kind == PARTITIONED:
-        r0 = op.row_range[0]
-        c0 = op.col_range[0]
-        for row in op.data:
-            for child in row:
-                i0, i1 = child.row_range
-                j0, j1 = child.col_range
-                _op_t_gemm_into(dst[j0 - c0 : j1 - c0], child, x[i0 - r0 : i1 - r0])
-        return
-    if _is_lowrank(op):
-        a, b = _factors(op)
-        gemm_update(dst, b, a.T @ x)
-        return
-    gemm_update(dst, _dense_window(op).T, x)
-
-
-def _op_rgemm_into(dst, x, op):
-    """dst -= x @ op accumulated in place."""
-    if isinstance(op, HMatrix) and op.kind == PARTITIONED:
-        r0 = op.row_range[0]
-        c0 = op.col_range[0]
-        for row in op.data:
-            for child in row:
-                i0, i1 = child.row_range
-                j0, j1 = child.col_range
-                _op_rgemm_into(dst[:, j0 - c0 : j1 - c0], x[:, i0 - r0 : i1 - r0], child)
-        return
-    if _is_lowrank(op):
-        a, b = _factors(op)
-        gemm_update(dst, x @ a, b.T)
-        return
-    gemm_update(dst, x, _dense_window(op))
-
-
 # -- low-rank products ----------------------------------------------------------
 
 
 def _multiply_lowrank(a, b, ctl: TruncationControl) -> LowRank:
     """Low-rank approximation of the product a @ b of two H-operands."""
-    if not _is_part(a) and _is_lowrank(a):
-        fa, fb = _factors(a)
-        return LowRank(fa, _op_t_matmat(b, fb))
-    if not _is_part(b) and _is_lowrank(b):
-        fa, fb = _factors(b)
-        return LowRank(_op_matmat(a, fa), fb)
-    if not _is_part(a) and not _is_part(b):
-        return compress_dense(_dense_window(a) @ _dense_window(b), ctl)
+    a_part = a.kind == PARTITIONED
+    b_part = b.kind == PARTITIONED
+    if a.kind == LOWRANK:
+        fa = a.data
+        # b.T @ fa.b, written as (fa.b.T @ b).T
+        return LowRank(fa.a, _times(b, fa.b.T, right=True).T)
+    if b.kind == LOWRANK:
+        fb = b.data
+        return LowRank(_times(a, fb.a), fb.b)
+    if not a_part and not b_part:
+        return compress_dense(a.data @ b.data, ctl)
 
-    rows = _row_splits(a) if _is_part(a) else [_rows(a)]
-    cols = _col_splits(b) if _is_part(b) else [_cols(b)]
-    mids = _col_splits(a) if _is_part(a) else _row_splits(b)
-    if _is_part(a) and _is_part(b) and _col_splits(a) != _row_splits(b):
+    rows = _row_splits(a) if a_part else [a.row_range]
+    cols = _col_splits(b) if b_part else [b.col_range]
+    mids = _col_splits(a) if a_part else _row_splits(b)
+    if a_part and b_part and _col_splits(a) != _row_splits(b):
         raise StructureError("inner partitions of a product do not match")
 
     grid = []
@@ -281,8 +148,8 @@ def _multiply_lowrank(a, b, ctl: TruncationControl) -> LowRank:
         for j, cc in enumerate(cols):
             acc = LowRank.zeros(rr[1] - rr[0], cc[1] - cc[0])
             for p, mm in enumerate(mids):
-                ap = a.child(i, p) if _is_part(a) else _slice(a, rr, mm)
-                bp = b.child(p, j) if _is_part(b) else _slice(b, mm, cc)
+                ap = a.child(i, p) if a_part else _slice(a, rr, mm)
+                bp = b.child(p, j) if b_part else _slice(b, mm, cc)
                 acc = add_truncated(acc, _multiply_lowrank(ap, bp, ctl), ctl)
             line.append(acc)
         grid.append(line)
@@ -337,8 +204,7 @@ class _Emit:
         ranges = self.plan.skeleton.ranges
         out = []
         for obj, mode in specs:
-            block = obj.block if isinstance(obj, HMatrix) else obj
-            lo, hi = ranges[block]
+            lo, hi = ranges[obj.block]
             out.append(Region(lo, hi, mode, weak=weak))
         return out
 
@@ -358,72 +224,42 @@ def _lbl(kind, rows, cols):
     return f"{kind}[{rows[0]}:{rows[1]})x[{cols[0]}:{cols[1]})"
 
 
-# -- panels: windows of a leaf payload driven through a partitioned factor ---------
-
-
-class _Panel:
-    """Contiguous window of a leaf payload along the dimension being solved.
-
-    ``part`` selects the payload ('dense' array, low-rank 'a' or 'b' factor),
-    ``axis`` the sliced array axis, ``base`` maps global block coordinates to
-    array offsets.
-    """
-
-    __slots__ = ("leaf", "part", "axis", "lo", "hi", "base")
-
-    def __init__(self, leaf, part, axis, lo, hi, base):
-        self.leaf = leaf
-        self.part = part
-        self.axis = axis
-        self.lo = lo
-        self.hi = hi
-        self.base = base
-
-    def sub(self, lo, hi):
-        return _Panel(self.leaf, self.part, self.axis, lo, hi, self.base)
-
-    def resolve(self):
-        if self.part == "dense":
-            arr = self.leaf.data
-        elif self.part == "a":
-            arr = self.leaf.data.a
-        else:
-            arr = self.leaf.data.b
-        lo = self.lo - self.base
-        hi = self.hi - self.base
-        return arr[lo:hi] if self.axis == 0 else arr[:, lo:hi]
-
-
 # -- triangular solves ---------------------------------------------------------------
 
 
+def _target(op, right):
+    """The array a triangular solve on a leaf or window overwrites in place.
+
+    That is the dense window, or of a low-rank payload the ``a`` rows (left
+    solve) or the transposed ``b`` rows (right solve).
+    """
+    d = op.data
+    if op.kind == DENSE:
+        return d
+    return d.b.T if right else d.a
+
+
 def _solve_lower(ex, l, b, ctl, flops):
-    """b := l^-1 b with l a factored (unit lower) diagonal block."""
+    """b := l^-1 b with l a factored (unit lower) diagonal block.
+
+    ``b`` is an H-node or a row window of a leaf; against a partitioned
+    factor a leaf is solved panel by panel, in place.
+    """
     label = _lbl("lsolve", b.row_range, b.col_range)
     if l.kind == DENSE:
-        if b.kind == DENSE:
-
-            def body():
-                trsm_lower_unit(l.data, b.data)
-                flops.add(l.rows * l.rows * b.cols)
-
-            ex.leaf(label, [(l, "r"), (b, "rw")], body)
-        elif b.kind == LOWRANK:
-
-            def body():
-                lr = b.data
-                a = scipy.linalg.solve_triangular(
-                    l.data, lr.a, lower=True, unit_diagonal=True
-                )
-                b.data = LowRank(a, lr.b)
-                flops.add(l.rows * l.rows * lr.k)
-
-            ex.leaf(label, [(l, "r"), (b, "rw")], body)
-        else:
+        if b.kind == PARTITIONED:
             raise StructureError("dense factor against partitioned right-hand side")
+
+        def body():
+            x = _target(b, False)
+            trsm_lower_unit(l.data, x)
+            flops.add(l.rows * l.rows * x.shape[1])
+
+        ex.leaf(label, [(l, "r"), (b, "rw")], body)
         return
-    if b.kind == PARTITIONED:
-        def spawn():
+
+    def spawn():
+        if b.kind == PARTITIONED:
             rs = len(l.data)
             cs = len(b.data[0])
             for i in range(rs):
@@ -432,77 +268,50 @@ def _solve_lower(ex, l, b, ctl, flops):
                         _update(ex, b.child(i, j), l.child(i, p), b.child(p, j), ctl, flops)
                 for j in range(cs):
                     _solve_lower(ex, l.child(i, i), b.child(i, j), ctl, flops)
-
-        ex.parent(label, [(l, "r"), (b, "rw")], spawn)
-        return
-    # partitioned factor, leaf right-hand side: run over payload row panels
-    part = "dense" if b.kind == DENSE else "a"
-    panel = _Panel(b, part, 0, b.row_range[0], b.row_range[1], b.row_range[0])
-    _solve_lower_panel(ex, l, panel, b, ctl, flops)
-
-
-def _solve_lower_panel(ex, l, pan, bleaf, ctl, flops):
-    cols = _cols(bleaf)
-    if l.kind == DENSE:
-
-        def body():
-            arr = pan.resolve()
-            trsm_lower_unit(l.data, arr)
-            flops.add(l.rows * l.rows * arr.shape[1])
-
-        ex.leaf(_lbl("lsolve", (pan.lo, pan.hi), cols), [(l, "r"), (bleaf, "rw")], body)
-        return
-
-    def spawn():
-        splits = _row_splits(l)
-        for i, ri in enumerate(splits):
-            for p, rp in enumerate(splits[:i]):
+            return
+        panels = [_Window(b, rows, b.col_range) for rows in _row_splits(l)]
+        for i, bi in enumerate(panels):
+            for p, bp in enumerate(panels[:i]):
                 lip = l.child(i, p)
 
-                def body(lip=lip, ri=ri, rp=rp):
-                    dst = pan.sub(*ri).resolve()
-                    src = pan.sub(*rp).resolve()
-                    _op_gemm_into(dst, lip, src)
+                def body(lip=lip, bi=bi, bp=bp):
+                    dst = _target(bi, False)
+                    src = _target(bp, False)
+                    _matvec_into(lip, src, dst, acc=gemm_update)
                     flops.add(2.0 * dst.shape[0] * dst.shape[1] * src.shape[0])
 
                 ex.leaf(
-                    _lbl("update", ri, cols) + _lbl("<-", lip.row_range, lip.col_range),
-                    [(lip, "r"), (bleaf, "rw")],
+                    _lbl("update", bi.row_range, bi.col_range)
+                    + _lbl("<-", lip.row_range, lip.col_range),
+                    [(lip, "r"), (b, "rw")],
                     body,
                 )
-            _solve_lower_panel(ex, l.child(i, i), pan.sub(*ri), bleaf, ctl, flops)
+            _solve_lower(ex, l.child(i, i), bi, ctl, flops)
 
-    ex.parent(
-        _lbl("lsolve", (pan.lo, pan.hi), cols), [(l, "r"), (bleaf, "rw")], spawn
-    )
+    ex.parent(label, [(l, "r"), (b, "rw")], spawn)
 
 
 def _solve_upper(ex, b, u, ctl, flops):
-    """b := b u^-1 with u a factored (upper) diagonal block."""
+    """b := b u^-1 with u a factored (upper) diagonal block.
+
+    ``b`` is an H-node or a column window of a leaf; against a partitioned
+    factor a leaf is solved panel by panel, in place.
+    """
     label = _lbl("rsolve", b.row_range, b.col_range)
     if u.kind == DENSE:
-        if b.kind == DENSE:
-
-            def body():
-                trsm_upper_right(u.data, b.data)
-                flops.add(u.rows * u.rows * b.rows)
-
-            ex.leaf(label, [(u, "r"), (b, "rw")], body)
-        elif b.kind == LOWRANK:
-
-            def body():
-                lr = b.data
-                fb = scipy.linalg.solve_triangular(u.data, lr.b, lower=False, trans="T")
-                b.data = LowRank(lr.a, fb)
-                flops.add(u.rows * u.rows * lr.k)
-
-            ex.leaf(label, [(u, "r"), (b, "rw")], body)
-        else:
+        if b.kind == PARTITIONED:
             raise StructureError("dense factor against partitioned right-hand side")
-        return
-    if b.kind == PARTITIONED:
 
-        def spawn():
+        def body():
+            x = _target(b, True)
+            trsm_upper_right(u.data, x)
+            flops.add(u.rows * u.rows * x.shape[0])
+
+        ex.leaf(label, [(u, "r"), (b, "rw")], body)
+        return
+
+    def spawn():
+        if b.kind == PARTITIONED:
             cs = len(u.data[0])
             rs = len(b.data)
             for j in range(cs):
@@ -511,55 +320,27 @@ def _solve_upper(ex, b, u, ctl, flops):
                         _update(ex, b.child(i, j), b.child(i, p), u.child(p, j), ctl, flops)
                 for i in range(rs):
                     _solve_upper(ex, b.child(i, j), u.child(j, j), ctl, flops)
-
-        ex.parent(label, [(b, "rw"), (u, "r")], spawn)
-        return
-    if b.kind == DENSE:
-        panel = _Panel(b, "dense", 1, b.col_range[0], b.col_range[1], b.col_range[0])
-    else:
-        panel = _Panel(b, "b", 0, b.col_range[0], b.col_range[1], b.col_range[0])
-    _solve_upper_panel(ex, panel, u, b, ctl, flops)
-
-
-def _solve_upper_panel(ex, pan, u, bleaf, ctl, flops):
-    rows = _rows(bleaf)
-    if u.kind == DENSE:
-
-        def body():
-            arr = pan.resolve()
-            if pan.part == "b":
-                arr[:] = scipy.linalg.solve_triangular(u.data, arr, lower=False, trans="T")
-                flops.add(u.rows * u.rows * arr.shape[1])
-            else:
-                trsm_upper_right(u.data, arr)
-                flops.add(u.rows * u.rows * arr.shape[0])
-
-        ex.leaf(_lbl("rsolve", rows, (pan.lo, pan.hi)), [(u, "r"), (bleaf, "rw")], body)
-        return
-
-    def spawn():
-        splits = _col_splits(u)
-        for j, cj in enumerate(splits):
-            for p, cp in enumerate(splits[:j]):
+            return
+        panels = [_Window(b, b.row_range, cols) for cols in _col_splits(u)]
+        for j, bj in enumerate(panels):
+            for p, bp in enumerate(panels[:j]):
                 upj = u.child(p, j)
 
-                def body(upj=upj, cj=cj, cp=cp):
-                    dst = pan.sub(*cj).resolve()
-                    src = pan.sub(*cp).resolve()
-                    if pan.part == "b":
-                        _op_t_gemm_into(dst, upj, src)
-                    else:
-                        _op_rgemm_into(dst, src, upj)
+                def body(upj=upj, bj=bj, bp=bp):
+                    dst = _target(bj, True)
+                    src = _target(bp, True)
+                    _matvec_into(upj, src, dst, right=True, acc=gemm_update)
                     flops.add(2.0 * dst.shape[0] * dst.shape[1] * src.shape[1])
 
                 ex.leaf(
-                    _lbl("update", rows, cj) + _lbl("<-", upj.row_range, upj.col_range),
-                    [(upj, "r"), (bleaf, "rw")],
+                    _lbl("update", bj.row_range, bj.col_range)
+                    + _lbl("<-", upj.row_range, upj.col_range),
+                    [(upj, "r"), (b, "rw")],
                     body,
                 )
-            _solve_upper_panel(ex, pan.sub(*cj), u.child(j, j), bleaf, ctl, flops)
+            _solve_upper(ex, bj, u.child(j, j), ctl, flops)
 
-    ex.parent(_lbl("rsolve", rows, (pan.lo, pan.hi)), [(bleaf, "rw"), (u, "r")], spawn)
+    ex.parent(label, [(b, "rw"), (u, "r")], spawn)
 
 
 # -- multiply-accumulate ----------------------------------------------------------------
@@ -567,14 +348,13 @@ def _solve_upper_panel(ex, pan, u, bleaf, ctl, flops):
 
 def _update(ex, c, a, b, ctl, flops):
     """c := c - a @ b in H-arithmetic; c may be a node or a dense window."""
-    c_part = _is_part(c)
-    a_part = _is_part(a)
-    b_part = _is_part(b)
-    label = _lbl("update", _rows(c), _cols(c)) + _lbl("<-", _rows(a), _cols(a))
-    a_reg = a if a_part else _op_leaf(a)
-    b_reg = b if b_part else _op_leaf(b)
+    c_part = c.kind == PARTITIONED
+    a_part = a.kind == PARTITIONED
+    b_part = b.kind == PARTITIONED
+    label = _lbl("update", c.row_range, c.col_range) + _lbl("<-", a.row_range, a.col_range)
+    specs = [(c, "rw"), (a, "r"), (b, "r")]
 
-    if isinstance(c, HMatrix) and c.kind == LOWRANK:
+    if c.kind == LOWRANK:
         # low-rank destination: one truncated accumulation task
         def body():
             p = _multiply_lowrank(a, b, ctl)
@@ -582,36 +362,35 @@ def _update(ex, c, a, b, ctl, flops):
             c.data = add_truncated(c.data, p.neg(), ctl)
             flops.add(2.0 * (c.data.k + p.k + 1) * (m + n) * (p.k + 1))
 
-        ex.leaf(label, [(c, "rw"), (a_reg, "r"), (b_reg, "r")], body)
+        ex.leaf(label, specs, body)
         return
 
     if not (c_part or a_part or b_part):
         # dense destination, leaf operands: plain subtract of the product
         def body():
-            dst = _dense_window(c)
-            if not _is_lowrank(a) and not _is_lowrank(b):
-                av = _dense_window(a)
-                bv = _dense_window(b)
-                gemm_update(dst, av, bv)
-                flops.add(2.0 * dst.shape[0] * dst.shape[1] * av.shape[1])
-            elif _is_lowrank(a):
-                fa, fb = _factors(a)
-                gemm_update(dst, fa, _op_t_matmat(b, fb).T)
-                flops.add(2.0 * fa.shape[1] * (dst.shape[0] + dst.shape[1]) * dst.shape[1])
+            dst = c.data
+            if a.kind == LOWRANK:
+                fa = a.data
+                gemm_update(dst, fa.a, _times(b, fa.b.T, right=True))
+                flops.add(2.0 * fa.k * (dst.shape[0] + dst.shape[1]) * dst.shape[1])
+            elif b.kind == LOWRANK:
+                fb = b.data
+                gemm_update(dst, _times(a, fb.a), fb.b.T)
+                flops.add(2.0 * fb.k * (dst.shape[0] + dst.shape[1]) * dst.shape[0])
             else:
-                fa, fb = _factors(b)
-                gemm_update(dst, _op_matmat(a, fa), fb.T)
-                flops.add(2.0 * fa.shape[1] * (dst.shape[0] + dst.shape[1]) * dst.shape[0])
+                av = a.data
+                gemm_update(dst, av, b.data)
+                flops.add(2.0 * dst.shape[0] * dst.shape[1] * av.shape[1])
 
-        ex.leaf(label, [(_op_leaf(c), "rw"), (a_reg, "r"), (b_reg, "r")], body)
+        ex.leaf(label, specs, body)
         return
 
     def spawn():
-        rows = _row_splits(c) if c_part else (_row_splits(a) if a_part else [_rows(c)])
-        cols = _col_splits(c) if c_part else (_col_splits(b) if b_part else [_cols(c)])
+        rows = _row_splits(c) if c_part else (_row_splits(a) if a_part else [c.row_range])
+        cols = _col_splits(c) if c_part else (_col_splits(b) if b_part else [c.col_range])
         if a_part and b_part and _col_splits(a) != _row_splits(b):
             raise StructureError("inner partitions of an update do not match")
-        mids = _col_splits(a) if a_part else (_row_splits(b) if b_part else [_cols(a)])
+        mids = _col_splits(a) if a_part else (_row_splits(b) if b_part else [a.col_range])
         for i, rr in enumerate(rows):
             for j, cc in enumerate(cols):
                 ci = c.child(i, j) if c_part else _slice(c, rr, cc)
@@ -620,7 +399,7 @@ def _update(ex, c, a, b, ctl, flops):
                     bp = b.child(p, j) if b_part else _slice(b, mm, cc)
                     _update(ex, ci, ap, bp, ctl, flops)
 
-    ex.parent(label, [(c if c_part else _op_leaf(c), "rw"), (a_reg, "r"), (b_reg, "r")], spawn)
+    ex.parent(label, specs, spawn)
 
 
 # -- factorization ----------------------------------------------------------------------
@@ -721,47 +500,13 @@ def lower_unit_matvec(h: HMatrix, x):
     """y = L @ x where L is the unit lower factor stored in a factored matrix."""
     x = np.asarray(x, dtype=float)
     y = np.zeros_like(x, dtype=float)
-    _lower_into(h, x, y)
+    _matvec_into(h, x, y, tri="L")
     return y
-
-
-def _lower_into(h, x, y):
-    if h.kind == DENSE:
-        y += np.tril(h.data, -1) @ x + x
-        return
-    if h.kind != PARTITIONED:
-        raise StructureError("factored matrix has a low-rank diagonal block")
-    r0 = h.row_range[0]
-    for i, row in enumerate(h.data):
-        for j, child in enumerate(row):
-            i0, i1 = child.row_range
-            j0, j1 = child.col_range
-            if j < i:
-                _matvec_into(child, x[j0 - r0 : j1 - r0], y[i0 - r0 : i1 - r0])
-            elif j == i:
-                _lower_into(child, x[j0 - r0 : j1 - r0], y[i0 - r0 : i1 - r0])
 
 
 def upper_matvec(h: HMatrix, x):
     """y = U @ x where U is the upper factor stored in a factored matrix."""
     x = np.asarray(x, dtype=float)
     y = np.zeros_like(x, dtype=float)
-    _upper_into(h, x, y)
+    _matvec_into(h, x, y, tri="U")
     return y
-
-
-def _upper_into(h, x, y):
-    if h.kind == DENSE:
-        y += np.triu(h.data) @ x
-        return
-    if h.kind != PARTITIONED:
-        raise StructureError("factored matrix has a low-rank diagonal block")
-    r0 = h.row_range[0]
-    for i, row in enumerate(h.data):
-        for j, child in enumerate(row):
-            i0, i1 = child.row_range
-            j0, j1 = child.col_range
-            if j > i:
-                _matvec_into(child, x[j0 - r0 : j1 - r0], y[i0 - r0 : i1 - r0])
-            elif j == i:
-                _upper_into(child, x[j0 - r0 : j1 - r0], y[i0 - r0 : i1 - r0])

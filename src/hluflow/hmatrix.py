@@ -7,6 +7,10 @@ depth-first row-major, so that the slots below any block-tree node form a
 contiguous interval.  Those intervals stand in for operand memory regions in
 dependency detection and never change, no matter how the low-rank factors
 are reallocated by the arithmetic.
+
+Every product of an H-node or a leaf window with a block of vectors, from
+either side, plain, subtracting or restricted to a factored triangle, goes
+through the one walker ``_matvec_into``.
 """
 
 from __future__ import annotations
@@ -138,9 +142,6 @@ class Skeleton:
         self.ranges = ranges
         self.leaf_order = leaf_order
 
-    def interval(self, block: BlockNode):
-        return self.ranges[block]
-
     def fingerprint(self):
         h = hashlib.sha256(str(self.size).encode())
         for block in self.leaf_order:
@@ -185,19 +186,78 @@ def hmatvec(h: HMatrix, x):
     return y
 
 
-def _matvec_into(h, x, y):
-    if h.kind == DENSE:
-        y += h.data @ x
-    elif h.kind == LOWRANK:
-        y += h.data.a @ (h.data.b.T @ x)
+class _Window:
+    """Rectangular window of a leaf block, in global index coordinates.
+
+    Reads like an HMatrix leaf: ``kind``, ``block`` (the leaf's, so it
+    declares the leaf's slot), ``row_range``, ``col_range`` and ``data``, the
+    payload cut to the window as views, so in-place writes reach the leaf.
+    """
+
+    __slots__ = ("leaf", "kind", "block", "row_range", "col_range")
+
+    def __init__(self, leaf, row_range, col_range):
+        if isinstance(leaf, _Window):
+            leaf = leaf.leaf
+        self.leaf = leaf
+        self.kind = leaf.kind
+        self.block = leaf.block
+        self.row_range = row_range
+        self.col_range = col_range
+
+    @property
+    def data(self):
+        r0 = self.block.row.start
+        c0 = self.block.col.start
+        rows = slice(self.row_range[0] - r0, self.row_range[1] - r0)
+        cols = slice(self.col_range[0] - c0, self.col_range[1] - c0)
+        d = self.leaf.data
+        if self.kind == DENSE:
+            return d[rows, cols]
+        return LowRank(d.a[rows], d.b[cols])
+
+
+def _matvec_into(op, x, y, right=False, acc=None, tri=None):
+    """Accumulate op @ x into y, or x @ op if ``right``, leaf by leaf.
+
+    ``op`` is an H-node or a leaf window.  Each leaf adds its product a @ b
+    with ``y += a @ b``, or calls ``acc(y, a, b)`` instead (``gemm_update``
+    subtracts).  ``tri`` 'L' or 'U' restricts a factored diagonal block to
+    its unit-lower or its upper triangle; it takes the plain add only.
+    """
+    kind = op.kind
+    if kind == PARTITIONED:
+        r0 = op.block.row.start
+        c0 = op.block.col.start
+        for i, row in enumerate(op.data):
+            for j, c in enumerate(row):
+                if tri is not None and (j > i if tri == "L" else j < i):
+                    continue
+                b = c.block
+                i0, i1 = b.row.start - r0, b.row.end - r0
+                j0, j1 = b.col.start - c0, b.col.end - c0
+                sub = tri if i == j else None
+                if right:
+                    _matvec_into(c, x[:, i0:i1], y[:, j0:j1], True, acc, sub)
+                else:
+                    _matvec_into(c, x[j0:j1], y[i0:i1], False, acc, sub)
+        return
+    d = op.data
+    if kind == LOWRANK:
+        if tri is not None:
+            raise StructureError("factored matrix has a low-rank diagonal block")
+        a, b = (x @ d.a, d.b.T) if right else (d.a, d.b.T @ x)
+    elif tri is None:
+        a, b = (x, d) if right else (d, x)
     else:
-        r0 = h.row_range[0]
-        c0 = h.col_range[0]
-        for row in h.data:
-            for c in row:
-                i0, i1 = c.row_range
-                j0, j1 = c.col_range
-                _matvec_into(c, x[j0 - c0 : j1 - c0], y[i0 - r0 : i1 - r0])
+        t = np.tril(d, -1) if tri == "L" else np.triu(d)
+        p = x @ t if right else t @ x
+        y += p + x if tri == "L" else p
+        return
+    if acc is None:
+        y += a @ b
+    else:
+        acc(y, a, b)
 
 
 def flatten(h: HMatrix, guard=_FLATTEN_GUARD):

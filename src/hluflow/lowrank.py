@@ -80,50 +80,6 @@ class LowRank:
         return f"LowRank({m}x{n}, k={self.k})"
 
 
-def apply_left(z, x: LowRank) -> LowRank:
-    """Multiply a low-rank block by a dense matrix from the left: z @ x."""
-    if z.shape[1] != x.shape[0]:
-        raise ValueError(f"shape mismatch: {z.shape} @ {x.shape}")
-    return LowRank(z @ x.a, x.b)
-
-
-def solve_lower(l, x: LowRank, side="left") -> LowRank:
-    """Solve with a unit lower triangular factor on the given side.
-
-    side='left' returns L^-1 x (forward substitution on the columns of the
-    left factor); side='right' returns x L^-1 (substitution on the rows of
-    the right factor).
-    """
-    if side == "left":
-        if l.shape[1] != x.shape[0]:
-            raise ValueError(f"shape mismatch: {l.shape} vs {x.shape}")
-        a = scipy.linalg.solve_triangular(l, x.a, lower=True, unit_diagonal=True)
-        return LowRank(a, x.b)
-    if side == "right":
-        if l.shape[0] != x.shape[1]:
-            raise ValueError(f"shape mismatch: {x.shape} vs {l.shape}")
-        b = scipy.linalg.solve_triangular(
-            l, x.b, lower=True, unit_diagonal=True, trans="T"
-        )
-        return LowRank(x.a, b)
-    raise ValueError(f"unknown side {side!r}")
-
-
-def solve_upper(u, x: LowRank, side="right") -> LowRank:
-    """Solve with an upper triangular factor on the given side."""
-    if side == "left":
-        if u.shape[1] != x.shape[0]:
-            raise ValueError(f"shape mismatch: {u.shape} vs {x.shape}")
-        a = scipy.linalg.solve_triangular(u, x.a, lower=False)
-        return LowRank(a, x.b)
-    if side == "right":
-        if u.shape[0] != x.shape[1]:
-            raise ValueError(f"shape mismatch: {x.shape} vs {u.shape}")
-        b = scipy.linalg.solve_triangular(u, x.b, lower=False, trans="T")
-        return LowRank(x.a, b)
-    raise ValueError(f"unknown side {side!r}")
-
-
 def _truncate_svd(u, s, vt, ctl: TruncationControl):
     if s.size == 0 or s[0] == 0.0:
         k = 0

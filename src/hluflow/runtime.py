@@ -47,15 +47,14 @@ class DeadlockError(RuntimeError):
 
 
 class Domain:
-    """A slot space accesses can refer to; one global, plus task-local ones."""
+    """A slot space accesses can refer to."""
 
-    __slots__ = ("size", "owner", "name", "_chains")
+    __slots__ = ("size", "name", "_chains")
 
-    def __init__(self, size, owner=None, name="global"):
+    def __init__(self, size, name="global"):
         if size < 0:
             raise RegionError("domain size must be >= 0")
         self.size = size
-        self.owner = owner
         self.name = name
         self._chains = {}
 
@@ -349,7 +348,7 @@ class Runtime:
     def __init__(self, slots, workers=1, wd_er=True, seed=0, collect=False):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.global_domain = Domain(slots, None, "global")
+        self.global_domain = Domain(slots, "global")
         self.workers = workers
         self.wd_er = wd_er
         self.seed = seed
@@ -373,10 +372,6 @@ class Runtime:
     def current_task(self):
         return getattr(self._current, "task", None)
 
-    def alloc_local(self, size, name="local"):
-        """Allocate a task-local slot domain owned by the current task."""
-        return Domain(size, self.current_task(), name)
-
     def submit(self, regions, body, label="task", spawns=False, cost=None, parent=None):
         """Register a task; returns it.  Callable from inside running bodies."""
         regions = [r if isinstance(r, Region) else Region(*r) for r in regions]
@@ -388,14 +383,14 @@ class Runtime:
                     f"child of {parent.label!r} submitted after its body finished"
                 )
             task = Task(len(self.tasks), label, parent, regions, body, spawns, cost)
-            self._validate(task)
+            covers = self._validate(task)
             self.tasks.append(task)
             self._unfinished += 1
             if parent is not None:
                 parent.open_child_tasks += 1
             task.submit_t = self._now()
-            for region in regions:
-                self._attach(task, region)
+            for region, cover in zip(regions, covers):
+                self._attach(task, region, cover)
             task.pending -= 1
             if task.pending == 0:
                 self._became_ready(task)
@@ -404,6 +399,8 @@ class Runtime:
         return task
 
     def _validate(self, task):
+        """Check the task's regions; returns the index of each one's covering
+        parent region (None for a root task)."""
         by_domain = {}
         for r in task.regions:
             dom = r.domain if r.domain is not None else self.global_domain
@@ -420,16 +417,18 @@ class Runtime:
                     )
         parent = task.parent
         if parent is None:
-            return
+            return [None] * len(task.regions)
+        covers = []
         for r in task.regions:
             dom = r.domain if r.domain is not None else self.global_domain
-            if dom.owner is parent:
-                continue  # data local to the parent is exempt
-            if self._covering(parent, r, dom) is None:
+            cover = self._covering(parent, r, dom)
+            if cover is None:
                 raise SubsetRuleError(
                     f"access [{r.lo},{r.hi}) mode={r.mode} of {task.label!r} is not "
                     f"covered by any access of parent {parent.label!r}"
                 )
+            covers.append(cover)
+        return covers
 
     def _covering(self, parent, region, dom):
         for i, pr in enumerate(parent.regions):
@@ -440,12 +439,9 @@ class Runtime:
                 return i
         return None
 
-    def _attach(self, task, region):
+    def _attach(self, task, region, cover):
         dom = region.domain if region.domain is not None else self.global_domain
         parent = task.parent
-        cover = None
-        if parent is not None and dom.owner is not parent:
-            cover = self._covering(parent, region, dom)
         reads, writes = _MODES[region.mode]
         strong = not region.weak
         nodes = []

@@ -6,11 +6,11 @@ from hluflow.blocks import (
     INADMISSIBLE,
     PARTITIONED,
     admissible,
-    block_structure_dump,
     build_block_tree,
     build_diagonal_2x2_tree,
 )
 from hluflow.clustering import build_cluster_tree, diam, dist
+from hluflow.hmatrix import build_hmatrix, structure_dump
 
 
 def line_tree(coords, leafsize):
@@ -115,6 +115,6 @@ def test_diagonal_2x2_depth_guard():
 
 def test_structure_dump_lists_every_leaf():
     root, _ = build_diagonal_2x2_tree(16, 2)
-    dump = block_structure_dump(root)
+    dump = structure_dump(build_hmatrix(root))
     assert len(dump.strip().split("\n")) == len(root.leaves())
-    assert "[0:4) [0:4) inadmissible dense" in dump
+    assert "[0:4) [0:4) dense dense" in dump

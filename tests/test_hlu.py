@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from hluflow.blocks import build_block_tree, build_diagonal_2x2_tree
+from hluflow.blocks import ADMISSIBLE, BlockNode, build_block_tree, build_diagonal_2x2_tree
 from hluflow.clustering import build_cluster_tree
 from hluflow.hmatrix import (
     LOWRANK,
+    HMatrix,
     StructureError,
     build_hmatrix,
     build_skeleton,
@@ -12,6 +13,9 @@ from hluflow.hmatrix import (
     hmatvec,
 )
 from hluflow.hlu import (
+    FlopCounter,
+    _Inline,
+    _solve_upper,
     emit_task_graph,
     hlu_factorize,
     lower_unit_matvec,
@@ -59,6 +63,27 @@ def mixed_matrix(n=192, leafsize=16, eta=0.5, seed=3, shift=None):
         return m
 
     return build_hmatrix(root, fill)
+
+
+def lowrank_leaf(block, k, seed):
+    """A one-leaf H-matrix holding a random rank-k block over ``block``'s clusters."""
+    rng = np.random.default_rng(seed)
+    leaf = BlockNode(block.row, block.col, ADMISSIBLE)
+    data = LowRank(rng.standard_normal((block.rows, k)), rng.standard_normal((block.cols, k)))
+    return HMatrix(leaf, LOWRANK, data)
+
+
+def solve_rhs(nb, seed, lowrank, like):
+    """Right-hand side of the solve oracles: a mixed H-matrix, or one low-rank leaf."""
+    if lowrank:
+        return lowrank_leaf(like.block, 3, seed)
+    return mixed_matrix(nb, leafsize=16, eta=0.25, seed=seed)
+
+
+# the last case solves a single low-rank leaf panel by panel
+SOLVE_CASES = pytest.mark.parametrize(
+    "nb, lowrank", [(64, False), (96, False), (96, True)], ids=["64", "96", "lowrank-leaf"]
+)
 
 
 def unpivoted_lu_oracle(a):
@@ -160,25 +185,25 @@ class TestSolves:
         solve_lower_hmatrix(l, b)
         assert np.allclose(flatten(b), want)
 
-    @pytest.mark.parametrize("nb", [64, 96])
-    def test_lower_solve_vs_dense_oracle(self, nb):
+    @SOLVE_CASES
+    def test_lower_solve_vs_dense_oracle(self, nb, lowrank):
         # factor and right-hand side over the same cluster tree
         h = mixed_matrix(nb, leafsize=16, eta=0.5, seed=5)
         hlu_factorize(make_plan(h, TruncationControl(1e-12)))
         lfull, _ = lu_split(flatten(h))
-        b = mixed_matrix(nb, leafsize=16, eta=0.25, seed=8)
+        b = solve_rhs(nb, 8, lowrank, h)
         bfull = flatten(b).copy()
         solve_lower_hmatrix(h, b, TruncationControl(1e-10))
         want = np.linalg.solve(lfull, bfull)
         got = flatten(b)
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("nb", [64, 96])
-    def test_upper_solve_vs_dense_oracle(self, nb):
+    @SOLVE_CASES
+    def test_upper_solve_vs_dense_oracle(self, nb, lowrank):
         h = mixed_matrix(nb, leafsize=16, eta=0.5, seed=5)
         hlu_factorize(make_plan(h, TruncationControl(1e-12)))
         _, ufull = lu_split(flatten(h))
-        b = mixed_matrix(nb, leafsize=16, eta=0.25, seed=9)
+        b = solve_rhs(nb, 9, lowrank, h)
         bfull = flatten(b).copy()
         solve_upper_hmatrix(b, h, TruncationControl(1e-10))
         want = bfull @ np.linalg.inv(ufull)
@@ -193,6 +218,20 @@ class TestSolves:
         update_hmatrix(c, a, b, TruncationControl(1e-10))
         got = flatten(c)
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+    def test_lowrank_right_solve_flops(self):
+        # rank-k leaf, n columns, 2x2 upper factor: two trsm of (n/2)^2 k
+        # each plus one panel update of 2 k (n/2)^2
+        n, k = 32, 3
+        u = dense2x2_matrix(n, 1, seed=4)
+        hlu_factorize(make_plan(u))
+        _, ufull = lu_split(flatten(u))
+        b = lowrank_leaf(u.block, k, seed=6)
+        want = flatten(b) @ np.linalg.inv(ufull)
+        flops = FlopCounter()
+        _solve_upper(_Inline(None), b, u, TruncationControl(), flops)
+        assert flops.total == n * n * k
+        assert np.linalg.norm(flatten(b) - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_update_dense_only_vs_flat_gemm(self):
         c = dense2x2_matrix(128, 3, seed=20)

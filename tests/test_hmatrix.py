@@ -13,8 +13,10 @@ from hluflow.hmatrix import (
     load_hmatrix,
     save_hmatrix,
     structure_dump,
+    _matvec_into,
+    _Window,
 )
-from hluflow.lowrank import LowRank
+from hluflow.lowrank import LowRank, gemm_update
 
 
 def bem_structure(n=128, leafsize=16, eta=1.0):
@@ -75,16 +77,16 @@ class TestSkeleton:
         root, _ = build_diagonal_2x2_tree(8, 2)
         sk = build_skeleton(build_hmatrix(root))
         assert sk.size == 10
-        assert sk.interval(root.sons[0][0]) == (0, 4)
-        assert sk.interval(root.sons[0][0].sons[0][0]) == (0, 1)
-        assert sk.interval(root) == (0, 10)
+        assert sk.ranges[root.sons[0][0]] == (0, 4)
+        assert sk.ranges[root.sons[0][0].sons[0][0]] == (0, 1)
+        assert sk.ranges[root] == (0, 10)
 
     def test_single_leaf(self):
         tree = build_cluster_tree(np.linspace(0, 1, 8), 8)
         root = build_block_tree(tree, tree, eta=1.0)
         sk = build_skeleton(build_hmatrix(root))
         assert sk.size == 1
-        assert sk.interval(root) == (0, 1)
+        assert sk.ranges[root] == (0, 1)
 
     def test_parent_intervals_concatenate_children(self, rng):
         root = bem_structure(256, 16, 0.5)
@@ -92,14 +94,14 @@ class TestSkeleton:
 
         def check(b):
             if b.kind != "partitioned":
-                lo, hi = sk.interval(b)
+                lo, hi = sk.ranges[b]
                 assert hi - lo == 1
                 return
-            lo, hi = sk.interval(b)
+            lo, hi = sk.ranges[b]
             cursor = lo
             for row in b.sons:
                 for c in row:
-                    clo, chi = sk.interval(c)
+                    clo, chi = sk.ranges[c]
                     assert clo == cursor
                     cursor = chi
                     check(c)
@@ -179,6 +181,47 @@ class TestMatvec:
         h = build_hmatrix(root)
         with pytest.raises(ValueError):
             hmatvec(h, np.zeros(9))
+
+
+def walk_operand(name, rng):
+    """An operand of the block walker and its dense value."""
+    h = build_hmatrix(bem_structure(), random_fill(rng))
+    if name == "hmatrix":
+        return h, flatten(h)
+    leaf = next(l for l in h.leaves() if l.kind == (DENSE if name == "dense-window" else LOWRANK))
+    (r0, r1), (c0, c1) = leaf.row_range, leaf.col_range
+    return _Window(leaf, (r0 + 1, r1), (c0, c1 - 2)), flatten(leaf)[1:, : c1 - c0 - 2]
+
+
+WALKS = [
+    (op, right, acc, None)
+    for op in ("hmatrix", "dense-window", "lowrank-window")
+    for right in (False, True)
+    for acc in (None, gemm_update)
+] + [("hmatrix", right, None, tri) for tri in "LU" for right in (False, True)]
+
+
+def walk_id(case):
+    op, right, acc, tri = case
+    side = "right" if right else "left"
+    how = f"tri{tri}" if tri else ("subtract" if acc else "add")
+    return f"{op}-{side}-{how}"
+
+
+@pytest.mark.parametrize("operand, right, acc, tri", WALKS, ids=[walk_id(c) for c in WALKS])
+def test_walker_vs_flatten(rng, operand, right, acc, tri):
+    op, full = walk_operand(operand, rng)
+    if tri == "L":
+        full = np.tril(full, -1) + np.eye(full.shape[0])
+    elif tri == "U":
+        full = np.triu(full)
+    m, n = full.shape
+    x = rng.standard_normal((3, m) if right else (n, 3))
+    y = rng.standard_normal((3, n) if right else (m, 3))
+    prod = x @ full if right else full @ x
+    want = y - prod if acc else y + prod
+    _matvec_into(op, x, y, right, acc, tri)
+    assert np.linalg.norm(y - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestFlatten:

@@ -6,13 +6,10 @@ from hluflow.lowrank import (
     SingularBlockError,
     TruncationControl,
     add_truncated,
-    apply_left,
     compress_dense,
     gemm_update,
     lu_nopivot,
     recompress,
-    solve_lower,
-    solve_upper,
     trsm_lower_unit,
     trsm_upper_right,
 )
@@ -24,67 +21,6 @@ def random_lowrank(rng, m, n, k):
 
 def spectral(a):
     return np.linalg.svd(a, compute_uv=False)[0] if a.size else 0.0
-
-
-class TestApplyLeft:
-    def test_identity(self, rng):
-        x = random_lowrank(rng, 6, 5, 2)
-        y = apply_left(np.eye(6), x)
-        assert np.array_equal(y.a, x.a) and np.array_equal(y.b, x.b)
-
-    def test_rank_zero(self, rng):
-        x = LowRank.zeros(6, 5)
-        y = apply_left(rng.standard_normal((4, 6)), x)
-        assert y.k == 0 and y.shape == (4, 5)
-
-    def test_against_dense_oracle(self, rng):
-        z = rng.standard_normal((7, 6))
-        x = random_lowrank(rng, 6, 5, 3)
-        got = apply_left(z, x).value()
-        want = z @ x.value()
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            apply_left(np.eye(3), random_lowrank(rng, 6, 5, 2))
-
-
-class TestTriangularSolves:
-    def test_identity_noop(self, rng):
-        x = random_lowrank(rng, 4, 3, 2)
-        y = solve_lower(np.eye(4), x, side="left")
-        assert np.allclose(y.a, x.a) and np.array_equal(y.b, x.b)
-
-    def test_forward_substitution_by_hand(self):
-        # L = [[1,0],[2,1]] (unit diagonal implied), a = (1,0)^T
-        l = np.array([[1.0, 0.0], [2.0, 1.0]])
-        x = LowRank(np.array([[1.0], [0.0]]), np.array([[1.0], [1.0], [1.0]]).reshape(3, 1))
-        y = solve_lower(l, x, side="left")
-        assert np.array_equal(y.a, np.array([[1.0], [-2.0]]))
-
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_lower_vs_dense_oracle(self, rng, side):
-        n = 12
-        l = np.tril(rng.standard_normal((n, n)), -1) + np.eye(n)
-        x = random_lowrank(rng, n, n, 4)
-        got = solve_lower(l, x, side=side).value()
-        if side == "left":
-            want = np.linalg.solve(l, x.value())
-        else:
-            want = x.value() @ np.linalg.inv(l)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_upper_vs_dense_oracle(self, rng, side):
-        n = 12
-        u = np.triu(rng.standard_normal((n, n))) + 4.0 * np.eye(n)
-        x = random_lowrank(rng, n, n, 4)
-        got = solve_upper(u, x, side=side).value()
-        if side == "left":
-            want = np.linalg.solve(u, x.value())
-        else:
-            want = x.value() @ np.linalg.inv(u)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestAddTruncated:

@@ -131,20 +131,6 @@ def test_region_validation():
         rt.submit([Region(0, 2, "rw"), Region(1, 3, "r")], lambda: None)
 
 
-def test_task_local_domain_exempt_from_subset_rule():
-    rt = Runtime(slots=2, workers=2)
-    order = []
-
-    def parent_body():
-        tmp = rt.alloc_local(1, "scratch")
-        rt.submit([Region(0, 1, "rw", domain=tmp)], lambda: order.append("make"))
-        rt.submit([Region(0, 1, "r", domain=tmp)], lambda: order.append("use"))
-
-    rt.submit([Region(0, 1, "rw", weak=True)], parent_body, label="p", spawns=True)
-    rt.run()
-    assert order == ["make", "use"]
-
-
 def test_edges_nested_interval_and_read_read():
     rt = Runtime(slots=4, collect=True)
     a = rt.submit([Region(0, 4, "w")], lambda: None, label="a")
