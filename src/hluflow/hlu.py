@@ -8,7 +8,9 @@ operands.  Executed inline this is the sequential algorithm; emitted onto the
 task runtime every recursion level becomes a parent task (weak accesses under
 early release, strong otherwise) and every leaf-level kernel becomes a task
 whose regions are exactly the skeleton intervals of its operands, so the
-runtime rediscovers the dependency structure of the recursion.
+runtime rediscovers the dependency structure of the recursion.  Below a
+granularity cutoff (see ``_Emit``) a whole recursion level runs inline inside
+one strong task, as OpenMP's ``final`` clause would.
 
 Low-rank destinations accumulate through truncated addition; products
 contributing to one destination are emitted in a fixed source order, so a
@@ -189,16 +191,29 @@ class _Inline:
         body()
 
     def parent(self, label, specs, spawn):
-        spawn()
+        spawn(self)
+
+
+def _extent(op):
+    return max(op.row_range[1] - op.row_range[0], op.col_range[1] - op.col_range[0])
 
 
 class _Emit:
-    """Submits leaf kernels as strong tasks, recursion levels as parents."""
+    """Submits leaf kernels as strong tasks, recursion levels as parents.
+
+    A recursion level whose operands all span at most ``grain`` = n // (2 w)
+    rows and columns, n the order of the plan's matrix and w the runtime's
+    worker count, becomes one strong leaf task with the level's label and
+    regions that runs the level through ``_Inline``.  Below the grain a body
+    costs less than its task; above it a (2w) x (2w) block grid is left,
+    whose first trailing update alone holds (2w - 1)^2 independent tasks.
+    """
 
     def __init__(self, runtime, plan):
         self.rt = runtime
         self.plan = plan
         self.weak_parents = runtime.wd_er
+        self.grain = plan.matrix.rows // (2 * runtime.workers)
 
     def _regions(self, specs, weak):
         ranges = self.plan.skeleton.ranges
@@ -212,9 +227,13 @@ class _Emit:
         self.rt.submit(self._regions(specs, weak=False), body, label=label)
 
     def parent(self, label, specs, spawn):
+        if all(_extent(obj) <= self.grain for obj, _ in specs):
+            inline = _Inline(self.plan)
+            self.leaf(label, specs, lambda: spawn(inline))
+            return
         self.rt.submit(
             self._regions(specs, weak=self.weak_parents),
-            spawn,
+            lambda: spawn(self),
             label=label,
             spawns=True,
         )
@@ -258,7 +277,7 @@ def _solve_lower(ex, l, b, ctl, flops):
         ex.leaf(label, [(l, "r"), (b, "rw")], body)
         return
 
-    def spawn():
+    def spawn(ex):
         if b.kind == PARTITIONED:
             rs = len(l.data)
             cs = len(b.data[0])
@@ -310,7 +329,7 @@ def _solve_upper(ex, b, u, ctl, flops):
         ex.leaf(label, [(u, "r"), (b, "rw")], body)
         return
 
-    def spawn():
+    def spawn(ex):
         if b.kind == PARTITIONED:
             cs = len(u.data[0])
             rs = len(b.data)
@@ -385,7 +404,7 @@ def _update(ex, c, a, b, ctl, flops):
         ex.leaf(label, specs, body)
         return
 
-    def spawn():
+    def spawn(ex):
         rows = _row_splits(c) if c_part else (_row_splits(a) if a_part else [c.row_range])
         cols = _col_splits(c) if c_part else (_col_splits(b) if b_part else [c.col_range])
         if a_part and b_part and _col_splits(a) != _row_splits(b):
@@ -420,7 +439,7 @@ def _factor(ex, h, ctl, flops):
     if h.kind == LOWRANK:
         raise StructureError(f"diagonal block {label} is low-rank; expected dense")
 
-    def spawn():
+    def spawn(ex):
         nb = len(h.data)
         if nb != len(h.data[0]):
             raise StructureError(f"LU requires a square grid at {label}")
@@ -461,36 +480,40 @@ def hlu_factorize(plan: HluPlan):
 
 def emit_task_graph(plan: HluPlan):
     """Expand the full nested task graph without executing any kernel."""
-    rt = Runtime(slots=plan.skeleton.size, wd_er=plan.wd_er, collect=True)
+    rt = Runtime(
+        slots=plan.skeleton.size, workers=plan.workers, wd_er=plan.wd_er, collect=True
+    )
     _factor(_Emit(rt, plan), plan.matrix, plan.truncation, plan.flops)
     return rt.task_graph()
 
 
-def _op_plan(root, ctl, runtime, skeleton):
+def _run_op(op, root, operands, ctl, runtime, skeleton):
+    """Run one block operation on ``root``, inline or as tasks on ``runtime``.
+
+    Returns the flop count of the kernels the call itself ran: all of them
+    inline, none when it only emits tasks (they count when they execute).
+    """
     if runtime is not None and skeleton is None:
         raise ValueError("emitting tasks requires the skeleton of the enclosing matrix")
-    return HluPlan(root, skeleton, ctl if ctl is not None else TruncationControl())
+    plan = HluPlan(root, skeleton, ctl if ctl is not None else TruncationControl())
+    ex = _Inline(plan) if runtime is None else _Emit(runtime, plan)
+    op(ex, *operands, plan.truncation, plan.flops)
+    return plan.flops.total
 
 
 def solve_lower_hmatrix(l, b, ctl=None, runtime=None, skeleton=None):
     """b := l^-1 b; emits tasks when a runtime is given, else runs inline."""
-    plan = _op_plan(b, ctl, runtime, skeleton)
-    ex = _Inline(plan) if runtime is None else _Emit(runtime, plan)
-    _solve_lower(ex, l, b, plan.truncation, plan.flops)
+    return _run_op(_solve_lower, b, (l, b), ctl, runtime, skeleton)
 
 
 def solve_upper_hmatrix(b, u, ctl=None, runtime=None, skeleton=None):
     """b := b u^-1; emits tasks when a runtime is given, else runs inline."""
-    plan = _op_plan(b, ctl, runtime, skeleton)
-    ex = _Inline(plan) if runtime is None else _Emit(runtime, plan)
-    _solve_upper(ex, b, u, plan.truncation, plan.flops)
+    return _run_op(_solve_upper, b, (b, u), ctl, runtime, skeleton)
 
 
 def update_hmatrix(c, a, b, ctl=None, runtime=None, skeleton=None):
     """c := c - a @ b; emits tasks when a runtime is given, else runs inline."""
-    plan = _op_plan(c, ctl, runtime, skeleton)
-    ex = _Inline(plan) if runtime is None else _Emit(runtime, plan)
-    _update(ex, c, a, b, plan.truncation, plan.flops)
+    return _run_op(_update, c, (c, a, b), ctl, runtime, skeleton)
 
 
 # -- triangular matvec on the factored matrix ----------------------------------------

@@ -206,12 +206,16 @@ def trsm_upper_right(u, b):
 def gemm_update(c, a, b):
     """c <- c - a @ b in place.
 
-    When c is C-contiguous the update runs as one BLAS call on the
-    transposed views (c.T is Fortran order), avoiding the temporary
-    product and an extra pass over c.
+    When c is C- or Fortran-contiguous the update runs as one BLAS call on c
+    (on the transposed views when c is C order, as c.T is Fortran order),
+    avoiding the temporary product and an extra pass over c.
     """
-    if c.flags.c_contiguous and a.dtype == b.dtype == c.dtype == np.float64:
-        dgemm(alpha=-1.0, a=b.T, b=a.T, beta=1.0, c=c.T, overwrite_c=True)
-        return c
+    if a.dtype == b.dtype == c.dtype == np.float64:
+        if c.flags.c_contiguous:
+            dgemm(alpha=-1.0, a=b.T, b=a.T, beta=1.0, c=c.T, overwrite_c=True)
+            return c
+        if c.flags.f_contiguous:
+            dgemm(alpha=-1.0, a=a, b=b, beta=1.0, c=c, overwrite_c=True)
+            return c
     c -= a @ b
     return c

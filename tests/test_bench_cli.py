@@ -181,6 +181,22 @@ class TestCli:
         assert text.startswith("digraph")
         assert "lu[0:32)x[0:32)" in text
 
+    def test_graph_export_follows_workers(self, tmp_path, capsys):
+        # the granularity cutoff depends on the worker count: one worker runs
+        # each operation below the root as one task, four keep nested levels
+        texts = {}
+        for workers in (1, 4):
+            out = tmp_path / f"g{workers}.dot"
+            code = main(
+                ["graph-export", "--case", "dense2x2", "--n", "256", "--r", "3",
+                 "--workers", str(workers), "--output", str(out)]
+            )
+            assert code == EXIT_OK
+            texts[workers] = out.read_text()
+        assert "lu[0:128)x[0:128)" in texts[1]
+        assert "lu[0:64)x[0:64)" in texts[4]
+        assert "lu[0:64)x[0:64)" not in texts[1]
+
     def test_workers_env_override(self, monkeypatch, capsys):
         monkeypatch.setenv(WORKERS_ENV, "3")
         code = main(

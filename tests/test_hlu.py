@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,6 @@ from hluflow.hmatrix import (
     hmatvec,
 )
 from hluflow.hlu import (
-    FlopCounter,
-    _Inline,
-    _solve_upper,
     emit_task_graph,
     hlu_factorize,
     lower_unit_matvec,
@@ -228,9 +227,7 @@ class TestSolves:
         _, ufull = lu_split(flatten(u))
         b = lowrank_leaf(u.block, k, seed=6)
         want = flatten(b) @ np.linalg.inv(ufull)
-        flops = FlopCounter()
-        _solve_upper(_Inline(None), b, u, TruncationControl(), flops)
-        assert flops.total == n * n * k
+        assert solve_upper_hmatrix(b, u) == n * n * k
         assert np.linalg.norm(flatten(b) - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_update_dense_only_vs_flat_gemm(self):
@@ -316,6 +313,43 @@ class TestTaskEmission:
         assert (u11.id, s11.id) in edges
         assert (s00.id, s01.id) not in edges
 
+    def test_granularity_cutoff(self):
+        # operations whose operands all span at most n // (2 workers) rows
+        # and columns run as one strong task; at 16 workers the grain (16)
+        # is below the leaf size (32), so that graph expands every level
+        n = 512
+        case = make_bem_case(1, n, eta=0.5, leafsize=32, eps=1e-6)
+
+        def graph(workers):
+            ctl = TruncationControl(1e-6)
+            return emit_task_graph(make_plan(case.hmatrix, ctl, mode="parallel", workers=workers))
+
+        def extent(task):
+            # the label names every operand's row and column range
+            spans = re.findall(r"\[(\d+):(\d+)\)", task.label)
+            return max(int(hi) - int(lo) for lo, hi in spans)
+
+        def accesses(task):
+            return [(r.lo, r.hi, r.mode) for r in task.regions]
+
+        full = graph(16)
+        spawners = {t.label: t for t in full.tasks if t.spawns}
+        kernels = {t.label for t in full.tasks if not t.spawns}
+        counts = []
+        for workers in (1, 2, 3):
+            grain = n // (2 * workers)
+            g = graph(workers)
+            counts.append(len(g.tasks))
+            assert all(extent(t) > grain for t in g.tasks if t.spawns)
+            collapsed = [t for t in g.tasks if not t.spawns and t.label not in kernels]
+            assert collapsed
+            for t in collapsed:
+                assert t.label in spawners
+                assert extent(t) <= grain
+                assert accesses(t) == accesses(spawners[t.label])
+                assert not any(r.weak for r in t.regions)
+        assert counts[0] < counts[1] < counts[2] < len(full.tasks)
+
     def test_emitted_graph_runs_like_sequential(self):
         h_seq = mixed_matrix(160, leafsize=16)
         h_par = mixed_matrix(160, leafsize=16)
@@ -400,8 +434,13 @@ class TestCrossing:
 
 class TestDagSoundness:
     def test_edges_match_pairwise_oracle_on_hlu_graph(self):
+        # 4 workers give a grain of 12, the smallest leaf here, so the graph keeps
+        # its nested levels (at 1 worker it collapses to 6 tasks)
         h = mixed_matrix(96, leafsize=16)
-        graph = emit_task_graph(make_plan(h, TruncationControl(1e-8), mode="parallel"))
+        graph = emit_task_graph(
+            make_plan(h, TruncationControl(1e-8), mode="parallel", workers=4)
+        )
+        assert any(t.spawns and t.parent is not None for t in graph.tasks)
         # brute-force within each sibling group
         by_parent = {}
         for t in graph.tasks:

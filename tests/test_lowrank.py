@@ -15,6 +15,15 @@ from hluflow.lowrank import (
 )
 
 
+# gemm_update targets of shape 6x5: base shape, view of the base, and the
+# view's (C-contiguous, F-contiguous) flags; C order, F order, a window
+GEMM_TARGETS = [
+    ((6, 5), lambda m: m, (True, False)),
+    ((5, 6), lambda m: m.T, (False, True)),
+    ((8, 7), lambda m: m[1:7, 1:6], (False, False)),
+]
+
+
 def random_lowrank(rng, m, n, k):
     return LowRank(rng.standard_normal((m, k)), rng.standard_normal((n, k)))
 
@@ -157,12 +166,18 @@ class TestDenseKernels:
         assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
     def test_gemm_update(self, rng):
-        c = rng.standard_normal((6, 5))
-        a = rng.standard_normal((6, 4))
-        b = rng.standard_normal((4, 5))
-        want = c - a @ b
-        got = gemm_update(c.copy(), a, b)
-        assert np.array_equal(got, want)
+        # the C- and F-order targets take the in-place dgemm, the
+        # non-contiguous window the temporary-product fallback
+        for shape, view, flags in GEMM_TARGETS:
+            base = rng.standard_normal(shape)
+            a = rng.standard_normal((6, 4))
+            b = rng.standard_normal((4, 5))
+            want = base.copy()
+            view(want)[...] -= a @ b
+            c = view(base)
+            assert (c.flags.c_contiguous, c.flags.f_contiguous) == flags
+            assert gemm_update(c, a, b) is c
+            assert np.array_equal(base, want)
 
 
 def test_truncation_control_validation():
