@@ -44,7 +44,6 @@ from .hlu import (
 )
 from .runtime import (
     DeadlockError,
-    Domain,
     Region,
     Runtime,
     SubsetRuleError,

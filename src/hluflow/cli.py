@@ -40,8 +40,7 @@ def _case_flags(p):
     p.add_argument("--seed", type=int, default=0)
 
 
-def _mode_flags(p):
-    p.add_argument("--mode", choices=("seq", "par"), default="seq")
+def _runtime_flags(p):
     p.add_argument("--workers", type=int, default=None)
     wd = p.add_mutually_exclusive_group()
     wd.add_argument("--wd-er", dest="wd_er", action="store_true", default=True)
@@ -54,7 +53,8 @@ def build_parser():
 
     b = sub.add_parser("bench", help="time a factorization and report a table")
     _case_flags(b)
-    _mode_flags(b)
+    _runtime_flags(b)
+    b.add_argument("--mode", choices=("seq", "par"), default="seq")
     b.add_argument("--repetitions", type=int, default=3)
     b.add_argument("--output", default=None, help="write the table to this path")
     b.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -73,7 +73,7 @@ def build_parser():
 
     g = sub.add_parser("graph-export", help="emit the task graph as DOT")
     _case_flags(g)
-    _mode_flags(g)
+    _runtime_flags(g)
     g.add_argument("--output", default=None, help="DOT path (default stdout)")
     g.add_argument("--trace", default=None, help="also run and write the trace CSV here")
     return ap
@@ -125,16 +125,14 @@ def _cmd_bench(args):
 def _cmd_verify(args):
     import numpy as np
 
-    from .bench import build_case, residual_probe
-    from .hlu import hlu_factorize, make_plan
+    from .bench import _plan_for, build_case, residual_probe
+    from .hlu import hlu_factorize
     from .hmatrix import flatten
-    from .lowrank import TruncationControl
 
     cfg = _config_from_args(args)
     template = build_case(cfg)
     h = template.copy()
-    plan = make_plan(h, TruncationControl(cfg.eps, cfg.kmax))
-    hlu_factorize(plan)
+    hlu_factorize(_plan_for(cfg, h, "seq"))
     residual = residual_probe(template, h, cfg.seed)
     lines = [f"residual {residual:.3e} (tolerance {args.tolerance:.3e})"]
     ok = residual <= args.tolerance and residual == residual
@@ -174,36 +172,18 @@ def _cmd_assemble(args):
 
 
 def _cmd_graph_export(args):
-    from .bench import build_case
-    from .hlu import emit_task_graph, hlu_factorize, make_plan
-    from .lowrank import TruncationControl
+    from .bench import _plan_for, build_case
+    from .hlu import emit_task_graph, hlu_factorize
 
     cfg = _config_from_args(args)
-    h = build_case(cfg)
-    plan = make_plan(
-        h,
-        TruncationControl(cfg.eps, cfg.kmax),
-        mode="parallel",
-        workers=cfg.workers,
-        wd_er=cfg.wd_er,
-    )
-    graph = emit_task_graph(plan)
-    dot = graph.to_dot()
+    dot = emit_task_graph(_plan_for(cfg, build_case(cfg), "par")).to_dot()
     if args.output:
         with open(args.output, "w") as f:
             f.write(dot)
     else:
         sys.stdout.write(dot)
     if args.trace:
-        h2 = build_case(cfg)
-        plan2 = make_plan(
-            h2,
-            TruncationControl(cfg.eps, cfg.kmax),
-            mode="parallel",
-            workers=cfg.workers,
-            wd_er=cfg.wd_er,
-        )
-        trace = hlu_factorize(plan2)
+        trace = hlu_factorize(_plan_for(cfg, build_case(cfg), "par"))
         with open(args.trace, "w") as f:
             f.write(trace.to_csv())
     return EXIT_OK

@@ -184,9 +184,6 @@ def _merge_lowrank(grid, rows, cols, ctl):
 class _Inline:
     """Runs leaf kernels immediately; recursion levels are plain calls."""
 
-    def __init__(self, plan):
-        self.plan = plan
-
     def leaf(self, label, specs, body):
         body()
 
@@ -228,8 +225,7 @@ class _Emit:
 
     def parent(self, label, specs, spawn):
         if all(_extent(obj) <= self.grain for obj, _ in specs):
-            inline = _Inline(self.plan)
-            self.leaf(label, specs, lambda: spawn(inline))
+            self.leaf(label, specs, lambda: spawn(_Inline()))
             return
         self.rt.submit(
             self._regions(specs, weak=self.weak_parents),
@@ -466,7 +462,7 @@ def hlu_factorize(plan: HluPlan):
     if h.rows != h.cols:
         raise StructureError("H-LU requires a square matrix")
     if plan.mode == SEQUENTIAL:
-        _factor(_Inline(plan), h, plan.truncation, plan.flops)
+        _factor(_Inline(), h, plan.truncation, plan.flops)
         return None
     rt = Runtime(
         slots=plan.skeleton.size,
@@ -496,7 +492,7 @@ def _run_op(op, root, operands, ctl, runtime, skeleton):
     if runtime is not None and skeleton is None:
         raise ValueError("emitting tasks requires the skeleton of the enclosing matrix")
     plan = HluPlan(root, skeleton, ctl if ctl is not None else TruncationControl())
-    ex = _Inline(plan) if runtime is None else _Emit(runtime, plan)
+    ex = _Inline() if runtime is None else _Emit(runtime, plan)
     op(ex, *operands, plan.truncation, plan.flops)
     return plan.flops.total
 

@@ -1,12 +1,15 @@
-"""Nested data-flow task runtime with region dependencies over a slot array.
+"""Nested data-flow task runtime with region dependencies over one slot space.
 
-Tasks declare half-open slot intervals (regions) with a read/write mode and a
-strength.  Weak accesses never gate the task's own readiness; they are the
-declaration that child tasks will touch the region, and they are what lets a
-dependency cross nesting boundaries.  Every access inserts one bookkeeping
-node per slot into a per-slot chain; chains nest following the task tree, and
-two monotone frontiers per chain (writes-done and fully-released prefixes)
-drive read/write satisfiability down the chain in submission order.
+Tasks declare half-open intervals (regions) of the runtime's slots, ``[0,
+slots)``, with a read/write mode and a strength.  Weak accesses never gate the
+task's own readiness; they are the declaration that child tasks will touch
+the region, and they are what lets a dependency cross nesting boundaries.
+Every access inserts one bookkeeping node per slot into a per-slot chain: root
+tasks into the runtime's table of root chains, children into the chain under
+their parent's node; two monotone frontiers per chain (writes-done and
+fully-released prefixes) drive read/write satisfiability down the chain in
+submission order.  The chains are the one record of dependencies: the task
+graph's edges are read off them.
 
 With early release enabled a finished body releases every slot no child still
 uses, slot by slot, as descendants complete.  Without it a task's accesses
@@ -31,7 +34,7 @@ _MODES = {READ: (True, False), WRITE: (False, True), READWRITE: (True, True)}
 
 
 class RegionError(ValueError):
-    """Region outside its domain, malformed, or self-overlapping."""
+    """Region outside the slot space, malformed, or self-overlapping."""
 
 
 class SubsetRuleError(ValueError):
@@ -46,29 +49,6 @@ class DeadlockError(RuntimeError):
         self.report = report
 
 
-class Domain:
-    """A slot space accesses can refer to."""
-
-    __slots__ = ("size", "name", "_chains")
-
-    def __init__(self, size, name="global"):
-        if size < 0:
-            raise RegionError("domain size must be >= 0")
-        self.size = size
-        self.name = name
-        self._chains = {}
-
-    def root_chain(self, slot):
-        chain = self._chains.get(slot)
-        if chain is None:
-            chain = _Chain(None)
-            self._chains[slot] = chain
-        return chain
-
-    def __repr__(self):
-        return f"Domain({self.name}, size={self.size})"
-
-
 @dataclass(frozen=True)
 class Region:
     """Half-open slot interval with access mode and strength."""
@@ -77,7 +57,6 @@ class Region:
     hi: int
     mode: str = READWRITE
     weak: bool = False
-    domain: Domain | None = None
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -117,7 +96,6 @@ class _Node:
     __slots__ = (
         "task",
         "slot",
-        "domain",
         "reads",
         "writes",
         "weak",
@@ -132,10 +110,9 @@ class _Node:
         "open_writers",
     )
 
-    def __init__(self, task, slot, domain, reads, writes, weak, chain):
+    def __init__(self, task, slot, reads, writes, weak, chain):
         self.task = task
         self.slot = slot
-        self.domain = domain
         self.reads = reads
         self.writes = writes
         self.weak = weak
@@ -164,7 +141,6 @@ class Task:
         "nodes",
         "pending",
         "enqueued",
-        "body_open",
         "body_done",
         "deep_done",
         "open_child_tasks",
@@ -187,7 +163,6 @@ class Task:
         self.nodes = []
         self.pending = 1  # submission guard
         self.enqueued = False
-        self.body_open = False
         self.body_done = False
         self.deep_done = False
         self.open_child_tasks = 0
@@ -216,38 +191,15 @@ class Task:
 
 @dataclass
 class Edge:
-    """Inferred dependency between sibling tasks, with the causing regions."""
+    """Dependency between sibling tasks; weak if either access is weak."""
 
     src: Task
     dst: Task
-    src_region: Region
-    dst_region: Region
-
-    @property
-    def weak(self):
-        return self.src_region.weak or self.dst_region.weak
-
-
-def sibling_edges(tasks):
-    """All pairwise dependencies among sibling tasks in submission order.
-
-    A pair conflicts when two of their regions share a domain, intersect,
-    and at least one side writes; read-read pairs produce no edge.
-    """
-    edges = []
-    for i, a in enumerate(tasks):
-        for b in tasks[i + 1 :]:
-            for ra in a.regions:
-                for rb in b.regions:
-                    if ra.domain is not rb.domain:
-                        continue
-                    if ra.lo < rb.hi and rb.lo < ra.hi and (ra.writes or rb.writes):
-                        edges.append(Edge(a, b, ra, rb))
-    return edges
+    weak: bool
 
 
 class TaskGraph:
-    """Static view of submitted tasks with per-domain inferred edges."""
+    """Static view of submitted tasks with the edges their chains record."""
 
     def __init__(self, tasks):
         self.tasks = list(tasks)
@@ -255,14 +207,24 @@ class TaskGraph:
 
     @property
     def edges(self):
+        """One Edge per (src, dst, weak) from each earlier/later pair of nodes
+        in one chain, at least one of them writing.  A chain holds the accesses
+        of sibling tasks to one slot, so every edge joins two siblings."""
         if self._edges is None:
-            groups = {}
+            edges = {}
             for t in self.tasks:
-                groups.setdefault(id(t.parent), []).append(t)
-            edges = []
-            for group in groups.values():
-                edges.extend(sibling_edges(group))
-            self._edges = edges
+                for nodes in t.nodes:
+                    for first in nodes:
+                        if first.index:
+                            continue  # visit each chain once, from its first node
+                        chain = first.chain.nodes
+                        for i, a in enumerate(chain):
+                            for b in chain[i + 1 :]:
+                                if a.writes or b.writes:
+                                    key = (a.task.id, b.task.id, a.weak or b.weak)
+                                    if key not in edges:
+                                        edges[key] = Edge(a.task, b.task, key[2])
+            self._edges = list(edges.values())
         return self._edges
 
     def to_dot(self):
@@ -271,12 +233,7 @@ class TaskGraph:
         for t in self.tasks:
             shape = "box" if t.spawns else "ellipse"
             lines.append(f'  t{t.id} [label="{t.label}", shape={shape}];')
-        seen = set()
         for e in self.edges:
-            key = (e.src.id, e.dst.id, e.weak)
-            if key in seen:
-                continue
-            seen.add(key)
             style = " [style=dashed]" if e.weak else ""
             lines.append(f"  t{e.src.id} -> t{e.dst.id}{style};")
         lines.append("}")
@@ -332,7 +289,7 @@ class Runtime:
     Parameters
     ----------
     slots : int
-        Size of the global slot domain (a skeleton's slot count).
+        Size of the slot space regions index (a skeleton's slot count).
     workers : int
         Worker thread count for :meth:`run`.
     wd_er : bool
@@ -348,7 +305,9 @@ class Runtime:
     def __init__(self, slots, workers=1, wd_er=True, seed=0, collect=False):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.global_domain = Domain(slots, "global")
+        if slots < 0:
+            raise RegionError("slot count must be >= 0")
+        self._roots = [_Chain(None) for _ in range(slots)]
         self.workers = workers
         self.wd_er = wd_er
         self.seed = seed
@@ -372,16 +331,12 @@ class Runtime:
     def current_task(self):
         return getattr(self._current, "task", None)
 
-    def submit(self, regions, body, label="task", spawns=False, cost=None, parent=None):
-        """Register a task; returns it.  Callable from inside running bodies."""
+    def submit(self, regions, body, label="task", spawns=False, cost=None):
+        """Register a task; returns it.  Called from inside a running body it
+        submits a child of that body's task."""
         regions = [r if isinstance(r, Region) else Region(*r) for r in regions]
         with self._lock:
-            if parent is None:
-                parent = self.current_task()
-            if parent is not None and parent.body_done:
-                raise RuntimeError(
-                    f"child of {parent.label!r} submitted after its body finished"
-                )
+            parent = self.current_task()
             task = Task(len(self.tasks), label, parent, regions, body, spawns, cost)
             covers = self._validate(task)
             self.tasks.append(task)
@@ -395,59 +350,47 @@ class Runtime:
             if task.pending == 0:
                 self._became_ready(task)
         if self.collect and spawns:
-            self._expand(task)
+            self._run_body(task)  # expand spawner bodies to build the graph
         return task
 
     def _validate(self, task):
         """Check the task's regions; returns the index of each one's covering
         parent region (None for a root task)."""
-        by_domain = {}
+        size = len(self._roots)
         for r in task.regions:
-            dom = r.domain if r.domain is not None else self.global_domain
-            if r.hi > dom.size:
-                raise RegionError(f"region [{r.lo},{r.hi}) outside {dom}")
-            by_domain.setdefault(id(dom), []).append(r)
-        for group in by_domain.values():
-            group.sort(key=lambda r: r.lo)
-            for a, b in zip(group, group[1:]):
-                if b.lo < a.hi:
-                    raise RegionError(
-                        f"task {task.label!r} declares overlapping regions "
-                        f"[{a.lo},{a.hi}) and [{b.lo},{b.hi})"
-                    )
+            if r.hi > size:
+                raise RegionError(f"region [{r.lo},{r.hi}) outside the {size} slots")
+        ordered = sorted(task.regions, key=lambda r: r.lo)
+        for a, b in zip(ordered, ordered[1:]):
+            if b.lo < a.hi:
+                raise RegionError(
+                    f"task {task.label!r} declares overlapping regions "
+                    f"[{a.lo},{a.hi}) and [{b.lo},{b.hi})"
+                )
         parent = task.parent
         if parent is None:
             return [None] * len(task.regions)
         covers = []
         for r in task.regions:
-            dom = r.domain if r.domain is not None else self.global_domain
-            cover = self._covering(parent, r, dom)
-            if cover is None:
+            for i, pr in enumerate(parent.regions):
+                if pr.covers(r) and (pr.writes or not r.writes):
+                    covers.append(i)
+                    break
+            else:
                 raise SubsetRuleError(
                     f"access [{r.lo},{r.hi}) mode={r.mode} of {task.label!r} is not "
                     f"covered by any access of parent {parent.label!r}"
                 )
-            covers.append(cover)
         return covers
 
-    def _covering(self, parent, region, dom):
-        for i, pr in enumerate(parent.regions):
-            pdom = pr.domain if pr.domain is not None else self.global_domain
-            if pdom is dom and pr.covers(region):
-                if region.writes and not pr.writes:
-                    continue
-                return i
-        return None
-
     def _attach(self, task, region, cover):
-        dom = region.domain if region.domain is not None else self.global_domain
         parent = task.parent
         reads, writes = _MODES[region.mode]
         strong = not region.weak
         nodes = []
         for slot in range(region.lo, region.hi):
             if cover is None:
-                chain = dom.root_chain(slot)
+                chain = self._roots[slot]
             else:
                 pregion = parent.regions[cover]
                 pnode = parent.nodes[cover][slot - pregion.lo]
@@ -457,7 +400,7 @@ class Runtime:
                 pnode.open_children += 1
                 if writes:
                     pnode.open_writers += 1
-            node = _Node(task, slot, dom, reads, writes, region.weak, chain)
+            node = _Node(task, slot, reads, writes, region.weak, chain)
             chain.nodes.append(node)
             nodes.append(node)
             if strong:
@@ -577,14 +520,13 @@ class Runtime:
             if region.weak or not region.writes:
                 continue
             for node in nodes:
-                key = (id(node.domain), node.slot)
-                other = self._slot_owner.get(key)
+                other = self._slot_owner.get(node.slot)
                 if other is not None:
                     raise RuntimeError(
                         f"exclusive-writer violation on slot {node.slot}: "
                         f"{task.label!r} vs {other.label!r}"
                     )
-                self._slot_owner[key] = task
+                self._slot_owner[node.slot] = task
 
     def _release_slots(self, task):
         if task.spawns:
@@ -593,7 +535,7 @@ class Runtime:
             if region.weak or not region.writes:
                 continue
             for node in nodes:
-                self._slot_owner.pop((id(node.domain), node.slot), None)
+                self._slot_owner.pop(node.slot, None)
 
     def _body_finished(self, task):
         task.body_done = True
@@ -624,15 +566,13 @@ class Runtime:
         if self._unfinished == 0:
             self._cond.notify_all()
 
-    def _expand(self, task):
-        # collect mode: run spawner bodies synchronously to build the graph
+    def _run_body(self, task):
+        """Run the body with ``task`` as the current task, for its submissions."""
         prev = self.current_task()
         self._current.task = task
-        task.body_open = True
         try:
             task.body()
         finally:
-            task.body_open = False
             self._current.task = prev
 
     # -- threaded execution --------------------------------------------------------
@@ -702,18 +642,14 @@ class Runtime:
                     self._error = exc
                     self._cond.notify_all()
                     return
-            self._current.task = task
-            task.body_open = True
             try:
-                task.body()
+                self._run_body(task)
             except BaseException as exc:  # noqa: BLE001 - propagate to run()
                 with self._lock:
                     if self._error is None:
                         self._error = exc
                     self._cond.notify_all()
             finally:
-                task.body_open = False
-                self._current.task = None
                 with self._lock:
                     self._body_finished(task)
 
@@ -779,14 +715,7 @@ class Runtime:
                     task.worker = wid
                     with self._lock:
                         self._claim_slots(task)
-                    prev = self.current_task()
-                    self._current.task = task
-                    task.body_open = True
-                    try:
-                        task.body()
-                    finally:
-                        task.body_open = False
-                        self._current.task = prev
+                    self._run_body(task)
                     cost = task.cost
                     if cost is None:
                         cost = 0.0 if task.spawns else 1.0

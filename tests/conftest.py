@@ -1,4 +1,5 @@
 import os
+import threading
 
 # Single-threaded BLAS keeps kernel calls deterministic and makes the
 # task-parallel speedup measurements meaningful; must be set before the
@@ -13,3 +14,26 @@ import pytest  # noqa: E402
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def bounded():
+    """Runs ``fn()`` in a thread joined with a timeout, failing the test if it
+    is still running then; returns fn's result, or the exception it raised."""
+
+    def call(fn, timeout=60):
+        outcome = []
+
+        def target():
+            try:
+                outcome.append(fn())
+            except Exception as exc:  # noqa: BLE001 - handed to the test
+                outcome.append(exc)
+
+        runner = threading.Thread(target=target, daemon=True)
+        runner.start()
+        runner.join(timeout)
+        assert not runner.is_alive(), f"still running after {timeout} s"
+        return outcome[0]
+
+    return call

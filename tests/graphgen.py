@@ -103,8 +103,6 @@ def oracle_edges(rt_tasks):
                 a, b = group[i], group[j]
                 for ra in a.regions:
                     for rb in b.regions:
-                        if ra.domain is not rb.domain:
-                            continue
                         lo = max(ra.lo, rb.lo)
                         hi = min(ra.hi, rb.hi)
                         if lo < hi and (ra.writes or rb.writes):

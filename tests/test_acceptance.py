@@ -148,7 +148,7 @@ def test_criterion_4_dependency_inference_soundness():
         want = oracle_edges(rt.tasks)
         assert got == want, f"graph {i}: inferred edges differ from oracle"
         for e in rt.task_graph().edges:
-            if wd_er and (e.src_region.weak or e.dst_region.weak):
+            if wd_er and e.weak:
                 continue  # early release legitimately crosses weak accesses
             assert e.src.end_t <= e.dst.start_t, (
                 f"graph {i}: edge {e.src.label}->{e.dst.label} not serialized"

@@ -21,7 +21,9 @@ from hluflow.cli import (
     build_parser,
     main,
 )
-from hluflow.hmatrix import flatten, load_hmatrix
+from hluflow import bench
+from hluflow.blocks import build_diagonal_2x2_tree
+from hluflow.hmatrix import build_hmatrix, flatten, load_hmatrix
 
 
 class TestBenchConfig:
@@ -196,6 +198,28 @@ class TestCli:
         assert "lu[0:128)x[0:128)" in texts[1]
         assert "lu[0:64)x[0:64)" in texts[4]
         assert "lu[0:64)x[0:64)" not in texts[1]
+
+    def test_graph_export_trace_rows(self, tmp_path, capsys):
+        dot, csv = tmp_path / "g.dot", tmp_path / "t.csv"
+        code = main(
+            ["graph-export", "--case", "dense2x2", "--n", "256", "--r", "3",
+             "--workers", "4", "--output", str(dot), "--trace", str(csv)]
+        )
+        assert code == EXIT_OK
+        header, *rows = csv.read_text().splitlines()
+        assert header.startswith("task,parent,label,")
+        nodes = [line for line in dot.read_text().splitlines() if "[label=" in line]
+        assert len(rows) == len(nodes) > 1
+
+    def test_bench_singular_exit(self, monkeypatch, capsys, bounded):
+        zero = build_hmatrix(build_diagonal_2x2_tree(256, 3)[0])
+        monkeypatch.setattr(bench, "build_case", lambda cfg: zero)
+        code = bounded(lambda: main(
+            ["bench", "--case", "dense2x2", "--n", "256", "--r", "3", "--mode", "par",
+             "--workers", "2", "--repetitions", "1"]
+        ))
+        assert code == EXIT_NUMERICAL
+        assert "lu[0:32)x[0:32)" in capsys.readouterr().err
 
     def test_workers_env_override(self, monkeypatch, capsys):
         monkeypatch.setenv(WORKERS_ENV, "3")

@@ -1,8 +1,10 @@
 import re
+import threading
 
 import numpy as np
 import pytest
 
+from graphgen import oracle_edges
 from hluflow.blocks import ADMISSIBLE, BlockNode, build_block_tree, build_diagonal_2x2_tree
 from hluflow.clustering import build_cluster_tree
 from hluflow.hmatrix import (
@@ -125,6 +127,17 @@ class TestSequentialDense:
         with pytest.raises(SingularBlockError) as err:
             hlu_factorize(make_plan(h))
         assert "lu[0:4)" in str(err.value)
+
+    @pytest.mark.parametrize("wd_er", [True, False])
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_singular_pivot_in_parallel_run(self, workers, wd_er, bounded):
+        h = build_hmatrix(build_diagonal_2x2_tree(256, 3)[0])  # all zeros
+        before = threading.active_count()
+        plan = make_plan(h, mode="parallel", workers=workers, wd_er=wd_er)
+        err = bounded(lambda: hlu_factorize(plan))
+        assert isinstance(err, SingularBlockError)
+        assert err.block_path == "lu[0:32)x[0:32)"
+        assert threading.active_count() == before  # every worker joined
 
     def test_non_square_rejected(self):
         tree_r = build_cluster_tree(np.linspace(0, 1, 32), 8)
@@ -441,26 +454,8 @@ class TestDagSoundness:
             make_plan(h, TruncationControl(1e-8), mode="parallel", workers=4)
         )
         assert any(t.spawns and t.parent is not None for t in graph.tasks)
-        # brute-force within each sibling group
-        by_parent = {}
-        for t in graph.tasks:
-            by_parent.setdefault(id(t.parent), []).append(t)
-        want = set()
-        for group in by_parent.values():
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    a, b = group[i], group[j]
-                    hit = any(
-                        ra.domain is rb.domain
-                        and max(ra.lo, rb.lo) < min(ra.hi, rb.hi)
-                        and (ra.writes or rb.writes)
-                        for ra in a.regions
-                        for rb in b.regions
-                    )
-                    if hit:
-                        want.add((a.id, b.id))
         got = {(e.src.id, e.dst.id) for e in graph.edges}
-        assert got == want
+        assert got == oracle_edges(graph.tasks)
 
     def test_wd_er_dominates_taskwait_in_simulation(self):
         h = dense2x2_matrix(128, 3)

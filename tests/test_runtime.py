@@ -120,8 +120,10 @@ def test_write_child_needs_writing_parent_region():
 
 
 def test_region_validation():
-    rt = Runtime(slots=4)
     with pytest.raises(RegionError):
+        Runtime(slots=-1)
+    rt = Runtime(slots=4)
+    with pytest.raises(RegionError, match="outside the 4 slots"):
         rt.submit([Region(0, 8, "rw")], lambda: None)  # out of bounds
     with pytest.raises(RegionError):
         Region(3, 3, "rw")
@@ -187,10 +189,6 @@ class TestCrossingDependencies:
     def test_early_release_crosses_boundary(self):
         rt = Runtime(slots=4, workers=2, wd_er=True)
         gate = threading.Event()
-
-        def p2_done_opens_gate():
-            pass
-
         self.build(rt, gate)
         # open the gate once p2.1 ran, proving p2.1 did not wait for p1.rest
         opener = threading.Thread(target=lambda: (time.sleep(0.3), gate.set()))
@@ -222,7 +220,7 @@ def test_serializability_of_traces():
             materialize(rt, roots, weak_parents=wd_er)
             trace = rt.run()
             for e in rt.task_graph().edges:
-                if wd_er and (e.src_region.weak or e.dst_region.weak):
+                if wd_er and e.weak:
                     continue  # early release is allowed to cross these
                 assert e.src.end_t <= e.dst.start_t
 
@@ -247,7 +245,7 @@ def test_exclusive_writer_detector():
 
     rt = Runtime(slots=1, workers=2)
     rt.submit([Region(0, 1, "rw")], lambda: time.sleep(0.01), label="w1")
-    rt._slot_owner[(id(rt.global_domain), 0)] = Intruder()
+    rt._slot_owner[0] = Intruder()
     with pytest.raises(RuntimeError, match="exclusive-writer"):
         rt.run()
 
@@ -276,17 +274,17 @@ def test_deadlock_detector_reports():
     assert "stuck" in err.value.report
 
 
-def test_submission_after_body_done_rejected():
-    rt = Runtime(slots=2, workers=1)
-    captured = []
+@pytest.mark.parametrize("wd_er", [True, False])
+def test_spawner_error_after_child_submitted(wd_er, bounded):
+    rt = Runtime(slots=2, workers=2, wd_er=wd_er)
 
-    def parent_body():
-        captured.append(rt.current_task())
+    def spawner():
+        rt.submit([Region(0, 1, "rw")], lambda: None, label="child")
+        raise ValueError("spawner failed")
 
-    rt.submit([Region(0, 1, "rw", weak=True)], parent_body, label="p", spawns=True)
-    rt.run()
-    with pytest.raises(RuntimeError):
-        rt.submit([Region(0, 1, "rw")], lambda: None, parent=captured[0])
+    rt.submit([Region(0, 2, "rw", weak=wd_er)], spawner, label="p", spawns=True)
+    err = bounded(rt.run)
+    assert isinstance(err, ValueError) and str(err) == "spawner failed"
 
 
 class TestVirtual:
