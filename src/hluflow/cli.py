@@ -176,14 +176,16 @@ def _cmd_graph_export(args):
     from .hlu import emit_task_graph, hlu_factorize
 
     cfg = _config_from_args(args)
-    dot = emit_task_graph(_plan_for(cfg, build_case(cfg), "par")).to_dot()
+    h = build_case(cfg)
+    # collect-mode emission runs no kernel, so the trace factorizes the same matrix
+    dot = emit_task_graph(_plan_for(cfg, h, "par")).to_dot()
     if args.output:
         with open(args.output, "w") as f:
             f.write(dot)
     else:
         sys.stdout.write(dot)
     if args.trace:
-        trace = hlu_factorize(_plan_for(cfg, build_case(cfg), "par"))
+        trace = hlu_factorize(_plan_for(cfg, h, "par"))
         with open(args.trace, "w") as f:
             f.write(trace.to_csv())
     return EXIT_OK

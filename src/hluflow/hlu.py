@@ -121,13 +121,37 @@ def _col_splits(op):
     return [child.col_range for child in op.data[0]]
 
 
-# -- low-rank products ----------------------------------------------------------
+# -- products ------------------------------------------------------------------
+
+
+def _product_grid(a, b, c=None):
+    """The cells of a @ b, cut along the partitions of c (if given), a and b.
+
+    Yields ``(i, j, rows, cols, pairs)`` row by row, ``pairs`` listing the
+    inner operands (a_ip, b_pj) as children or ``_slice`` windows.
+    """
+    a_part = a.kind == PARTITIONED
+    b_part = b.kind == PARTITIONED
+    c_part = c is not None and c.kind == PARTITIONED
+    if a_part and b_part and _col_splits(a) != _row_splits(b):
+        raise StructureError("inner partitions of a product do not match")
+    rows = _row_splits(c) if c_part else (_row_splits(a) if a_part else [a.row_range])
+    cols = _col_splits(c) if c_part else (_col_splits(b) if b_part else [b.col_range])
+    mids = _col_splits(a) if a_part else (_row_splits(b) if b_part else [a.col_range])
+    for i, rr in enumerate(rows):
+        for j, cc in enumerate(cols):
+            pairs = [
+                (
+                    a.child(i, p) if a_part else _slice(a, rr, mm),
+                    b.child(p, j) if b_part else _slice(b, mm, cc),
+                )
+                for p, mm in enumerate(mids)
+            ]
+            yield i, j, rr, cc, pairs
 
 
 def _multiply_lowrank(a, b, ctl: TruncationControl) -> LowRank:
     """Low-rank approximation of the product a @ b of two H-operands."""
-    a_part = a.kind == PARTITIONED
-    b_part = b.kind == PARTITIONED
     if a.kind == LOWRANK:
         fa = a.data
         # b.T @ fa.b, written as (fa.b.T @ b).T
@@ -135,46 +159,30 @@ def _multiply_lowrank(a, b, ctl: TruncationControl) -> LowRank:
     if b.kind == LOWRANK:
         fb = b.data
         return LowRank(_times(a, fb.a), fb.b)
-    if not a_part and not b_part:
+    if a.kind == DENSE and b.kind == DENSE:
         return compress_dense(a.data @ b.data, ctl)
-
-    rows = _row_splits(a) if a_part else [a.row_range]
-    cols = _col_splits(b) if b_part else [b.col_range]
-    mids = _col_splits(a) if a_part else _row_splits(b)
-    if a_part and b_part and _col_splits(a) != _row_splits(b):
-        raise StructureError("inner partitions of a product do not match")
-
-    grid = []
-    for i, rr in enumerate(rows):
-        line = []
-        for j, cc in enumerate(cols):
-            acc = LowRank.zeros(rr[1] - rr[0], cc[1] - cc[0])
-            for p, mm in enumerate(mids):
-                ap = a.child(i, p) if a_part else _slice(a, rr, mm)
-                bp = b.child(p, j) if b_part else _slice(b, mm, cc)
-                acc = add_truncated(acc, _multiply_lowrank(ap, bp, ctl), ctl)
-            line.append(acc)
-        grid.append(line)
-    if len(rows) == 1 and len(cols) == 1:
-        return grid[0][0]
-    return _merge_lowrank(grid, rows, cols, ctl)
+    parts = []
+    for _, _, rr, cc, pairs in _product_grid(a, b):
+        acc = LowRank.zeros(rr[1] - rr[0], cc[1] - cc[0])
+        for ap, bp in pairs:
+            acc = add_truncated(acc, _multiply_lowrank(ap, bp, ctl), ctl)
+        parts.append((rr, cc, acc))
+    return parts[0][2] if len(parts) == 1 else _merge_lowrank(parts, ctl)
 
 
-def _merge_lowrank(grid, rows, cols, ctl):
-    m = rows[-1][1] - rows[0][0]
-    n = cols[-1][1] - cols[0][0]
-    k_total = sum(p.k for line in grid for p in line)
-    u = np.zeros((m, k_total))
-    v = np.zeros((n, k_total))
+def _merge_lowrank(parts, ctl):
+    """One recompressed LowRank from the (rows, cols, LowRank) cells of a grid."""
+    r0, c0 = parts[0][0][0], parts[0][1][0]
+    k_total = sum(p.k for _, _, p in parts)
+    u = np.zeros((parts[-1][0][1] - r0, k_total))
+    v = np.zeros((parts[-1][1][1] - c0, k_total))
     off = 0
-    for i, rr in enumerate(rows):
-        for j, cc in enumerate(cols):
-            p = grid[i][j]
-            if p.k == 0:
-                continue
-            u[rr[0] - rows[0][0] : rr[1] - rows[0][0], off : off + p.k] = p.a
-            v[cc[0] - cols[0][0] : cc[1] - cols[0][0], off : off + p.k] = p.b
-            off += p.k
+    for rr, cc, p in parts:
+        if p.k == 0:
+            continue
+        u[rr[0] - r0 : rr[1] - r0, off : off + p.k] = p.a
+        v[cc[0] - c0 : cc[1] - c0, off : off + p.k] = p.b
+        off += p.k
     return recompress(LowRank(u, v), ctl)
 
 
@@ -254,108 +262,65 @@ def _target(op, right):
     return d.b.T if right else d.a
 
 
-def _solve_lower(ex, l, b, ctl, flops):
-    """b := l^-1 b with l a factored (unit lower) diagonal block.
+def _solve(ex, f, b, right, ctl, flops):
+    """b := f^-1 b, or b := b f^-1 if ``right``, f a factored diagonal block.
 
-    ``b`` is an H-node or a row window of a leaf; against a partitioned
-    factor a leaf is solved panel by panel, in place.
+    On the left f acts as its unit lower factor, on the right as its upper
+    factor.  ``b`` is an H-node or a row (left) or column (right) window of
+    a leaf; against a partitioned factor a leaf is solved panel by panel, in
+    place.  A partitioned ``b`` is visited transposed on the right, so both
+    sides run one block-row elimination.
     """
-    label = _lbl("lsolve", b.row_range, b.col_range)
-    if l.kind == DENSE:
+    label = _lbl("rsolve" if right else "lsolve", b.row_range, b.col_range)
+    if f.kind == DENSE:
         if b.kind == PARTITIONED:
             raise StructureError("dense factor against partitioned right-hand side")
 
         def body():
-            x = _target(b, False)
-            trsm_lower_unit(l.data, x)
-            flops.add(l.rows * l.rows * x.shape[1])
+            x = _target(b, right)
+            (trsm_upper_right if right else trsm_lower_unit)(f.data, x)
+            flops.add(f.rows * f.rows * x.shape[0 if right else 1])
 
-        ex.leaf(label, [(l, "r"), (b, "rw")], body)
+        ex.leaf(label, [(f, "r"), (b, "rw")], body)
         return
 
     def spawn(ex):
         if b.kind == PARTITIONED:
-            rs = len(l.data)
-            cs = len(b.data[0])
-            for i in range(rs):
+            m = len(b.data) if right else len(b.data[0])
+            bc = (lambda i, j: b.child(j, i)) if right else b.child
+            for i in range(len(f.data)):
                 for p in range(i):
-                    for j in range(cs):
-                        _update(ex, b.child(i, j), l.child(i, p), b.child(p, j), ctl, flops)
-                for j in range(cs):
-                    _solve_lower(ex, l.child(i, i), b.child(i, j), ctl, flops)
+                    for j in range(m):
+                        if right:
+                            _update(ex, bc(i, j), bc(p, j), f.child(p, i), ctl, flops)
+                        else:
+                            _update(ex, bc(i, j), f.child(i, p), bc(p, j), ctl, flops)
+                for j in range(m):
+                    _solve(ex, f.child(i, i), bc(i, j), right, ctl, flops)
             return
-        panels = [_Window(b, rows, b.col_range) for rows in _row_splits(l)]
+        if right:
+            panels = [_Window(b, b.row_range, cols) for cols in _col_splits(f)]
+        else:
+            panels = [_Window(b, rows, b.col_range) for rows in _row_splits(f)]
         for i, bi in enumerate(panels):
             for p, bp in enumerate(panels[:i]):
-                lip = l.child(i, p)
+                fip = f.child(p, i) if right else f.child(i, p)
 
-                def body(lip=lip, bi=bi, bp=bp):
-                    dst = _target(bi, False)
-                    src = _target(bp, False)
-                    _matvec_into(lip, src, dst, acc=gemm_update)
-                    flops.add(2.0 * dst.shape[0] * dst.shape[1] * src.shape[0])
+                def body(fip=fip, bi=bi, bp=bp):
+                    dst = _target(bi, right)
+                    src = _target(bp, right)
+                    _matvec_into(fip, src, dst, right=right, acc=gemm_update)
+                    flops.add(2.0 * dst.shape[0] * dst.shape[1] * src.shape[1 if right else 0])
 
                 ex.leaf(
                     _lbl("update", bi.row_range, bi.col_range)
-                    + _lbl("<-", lip.row_range, lip.col_range),
-                    [(lip, "r"), (b, "rw")],
+                    + _lbl("<-", fip.row_range, fip.col_range),
+                    [(fip, "r"), (b, "rw")],
                     body,
                 )
-            _solve_lower(ex, l.child(i, i), bi, ctl, flops)
+            _solve(ex, f.child(i, i), bi, right, ctl, flops)
 
-    ex.parent(label, [(l, "r"), (b, "rw")], spawn)
-
-
-def _solve_upper(ex, b, u, ctl, flops):
-    """b := b u^-1 with u a factored (upper) diagonal block.
-
-    ``b`` is an H-node or a column window of a leaf; against a partitioned
-    factor a leaf is solved panel by panel, in place.
-    """
-    label = _lbl("rsolve", b.row_range, b.col_range)
-    if u.kind == DENSE:
-        if b.kind == PARTITIONED:
-            raise StructureError("dense factor against partitioned right-hand side")
-
-        def body():
-            x = _target(b, True)
-            trsm_upper_right(u.data, x)
-            flops.add(u.rows * u.rows * x.shape[0])
-
-        ex.leaf(label, [(u, "r"), (b, "rw")], body)
-        return
-
-    def spawn(ex):
-        if b.kind == PARTITIONED:
-            cs = len(u.data[0])
-            rs = len(b.data)
-            for j in range(cs):
-                for p in range(j):
-                    for i in range(rs):
-                        _update(ex, b.child(i, j), b.child(i, p), u.child(p, j), ctl, flops)
-                for i in range(rs):
-                    _solve_upper(ex, b.child(i, j), u.child(j, j), ctl, flops)
-            return
-        panels = [_Window(b, b.row_range, cols) for cols in _col_splits(u)]
-        for j, bj in enumerate(panels):
-            for p, bp in enumerate(panels[:j]):
-                upj = u.child(p, j)
-
-                def body(upj=upj, bj=bj, bp=bp):
-                    dst = _target(bj, True)
-                    src = _target(bp, True)
-                    _matvec_into(upj, src, dst, right=True, acc=gemm_update)
-                    flops.add(2.0 * dst.shape[0] * dst.shape[1] * src.shape[1])
-
-                ex.leaf(
-                    _lbl("update", bj.row_range, bj.col_range)
-                    + _lbl("<-", upj.row_range, upj.col_range),
-                    [(upj, "r"), (b, "rw")],
-                    body,
-                )
-            _solve_upper(ex, bj, u.child(j, j), ctl, flops)
-
-    ex.parent(label, [(b, "rw"), (u, "r")], spawn)
+    ex.parent(label, [(b, "rw"), (f, "r")] if right else [(f, "r"), (b, "rw")], spawn)
 
 
 # -- multiply-accumulate ----------------------------------------------------------------
@@ -364,8 +329,6 @@ def _solve_upper(ex, b, u, ctl, flops):
 def _update(ex, c, a, b, ctl, flops):
     """c := c - a @ b in H-arithmetic; c may be a node or a dense window."""
     c_part = c.kind == PARTITIONED
-    a_part = a.kind == PARTITIONED
-    b_part = b.kind == PARTITIONED
     label = _lbl("update", c.row_range, c.col_range) + _lbl("<-", a.row_range, a.col_range)
     specs = [(c, "rw"), (a, "r"), (b, "r")]
 
@@ -380,7 +343,7 @@ def _update(ex, c, a, b, ctl, flops):
         ex.leaf(label, specs, body)
         return
 
-    if not (c_part or a_part or b_part):
+    if not c_part and PARTITIONED not in (a.kind, b.kind):
         # dense destination, leaf operands: plain subtract of the product
         def body():
             dst = c.data
@@ -401,18 +364,10 @@ def _update(ex, c, a, b, ctl, flops):
         return
 
     def spawn(ex):
-        rows = _row_splits(c) if c_part else (_row_splits(a) if a_part else [c.row_range])
-        cols = _col_splits(c) if c_part else (_col_splits(b) if b_part else [c.col_range])
-        if a_part and b_part and _col_splits(a) != _row_splits(b):
-            raise StructureError("inner partitions of an update do not match")
-        mids = _col_splits(a) if a_part else (_row_splits(b) if b_part else [a.col_range])
-        for i, rr in enumerate(rows):
-            for j, cc in enumerate(cols):
-                ci = c.child(i, j) if c_part else _slice(c, rr, cc)
-                for p, mm in enumerate(mids):
-                    ap = a.child(i, p) if a_part else _slice(a, rr, mm)
-                    bp = b.child(p, j) if b_part else _slice(b, mm, cc)
-                    _update(ex, ci, ap, bp, ctl, flops)
+        for i, j, rr, cc, pairs in _product_grid(a, b, c):
+            ci = c.child(i, j) if c_part else _slice(c, rr, cc)
+            for ap, bp in pairs:
+                _update(ex, ci, ap, bp, ctl, flops)
 
     ex.parent(label, specs, spawn)
 
@@ -442,9 +397,9 @@ def _factor(ex, h, ctl, flops):
         for k in range(nb):
             _factor(ex, h.child(k, k), ctl, flops)
             for j in range(k + 1, nb):
-                _solve_lower(ex, h.child(k, k), h.child(k, j), ctl, flops)
+                _solve(ex, h.child(k, k), h.child(k, j), False, ctl, flops)
             for i in range(k + 1, nb):
-                _solve_upper(ex, h.child(i, k), h.child(k, k), ctl, flops)
+                _solve(ex, h.child(k, k), h.child(i, k), True, ctl, flops)
             for i in range(k + 1, nb):
                 for j in range(k + 1, nb):
                     _update(ex, h.child(i, j), h.child(i, k), h.child(k, j), ctl, flops)
@@ -499,12 +454,12 @@ def _run_op(op, root, operands, ctl, runtime, skeleton):
 
 def solve_lower_hmatrix(l, b, ctl=None, runtime=None, skeleton=None):
     """b := l^-1 b; emits tasks when a runtime is given, else runs inline."""
-    return _run_op(_solve_lower, b, (l, b), ctl, runtime, skeleton)
+    return _run_op(_solve, b, (l, b, False), ctl, runtime, skeleton)
 
 
 def solve_upper_hmatrix(b, u, ctl=None, runtime=None, skeleton=None):
     """b := b u^-1; emits tasks when a runtime is given, else runs inline."""
-    return _run_op(_solve_upper, b, (b, u), ctl, runtime, skeleton)
+    return _run_op(_solve, b, (u, b, True), ctl, runtime, skeleton)
 
 
 def update_hmatrix(c, a, b, ctl=None, runtime=None, skeleton=None):

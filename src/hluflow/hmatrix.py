@@ -67,12 +67,6 @@ class HMatrix:
     def child(self, i, j):
         return self.data[i][j]
 
-    @property
-    def rank(self):
-        if self.kind != LOWRANK:
-            raise StructureError("rank is defined for low-rank leaves only")
-        return self.data.k
-
     def leaves(self):
         out = []
         stack = [self]

@@ -30,7 +30,7 @@ READ = "r"
 WRITE = "w"
 READWRITE = "rw"
 
-_MODES = {READ: (True, False), WRITE: (False, True), READWRITE: (True, True)}
+_WRITES = {READ: False, WRITE: True, READWRITE: True}
 
 
 class RegionError(ValueError):
@@ -59,18 +59,14 @@ class Region:
     weak: bool = False
 
     def __post_init__(self):
-        if self.mode not in _MODES:
+        if self.mode not in _WRITES:
             raise RegionError(f"unknown access mode {self.mode!r}")
         if not (0 <= self.lo < self.hi):
             raise RegionError(f"bad interval [{self.lo}, {self.hi})")
 
     @property
-    def reads(self):
-        return _MODES[self.mode][0]
-
-    @property
     def writes(self):
-        return _MODES[self.mode][1]
+        return _WRITES[self.mode]
 
     def covers(self, other):
         return self.lo <= other.lo and other.hi <= self.hi
@@ -96,7 +92,6 @@ class _Node:
     __slots__ = (
         "task",
         "slot",
-        "reads",
         "writes",
         "weak",
         "chain",
@@ -110,10 +105,9 @@ class _Node:
         "open_writers",
     )
 
-    def __init__(self, task, slot, reads, writes, weak, chain):
+    def __init__(self, task, slot, writes, weak, chain):
         self.task = task
         self.slot = slot
-        self.reads = reads
         self.writes = writes
         self.weak = weak
         self.chain = chain
@@ -385,7 +379,7 @@ class Runtime:
 
     def _attach(self, task, region, cover):
         parent = task.parent
-        reads, writes = _MODES[region.mode]
+        writes = region.writes
         strong = not region.weak
         nodes = []
         for slot in range(region.lo, region.hi):
@@ -400,7 +394,7 @@ class Runtime:
                 pnode.open_children += 1
                 if writes:
                     pnode.open_writers += 1
-            node = _Node(task, slot, reads, writes, region.weak, chain)
+            node = _Node(task, slot, writes, region.weak, chain)
             chain.nodes.append(node)
             nodes.append(node)
             if strong:
@@ -433,7 +427,7 @@ class Runtime:
             node = nodes[chain.next_rsat]
             chain.next_rsat += 1
             node.rsat = True
-            if not node.weak and node.reads and not node.writes:
+            if not node.weak and not node.writes:
                 self._sat_arrived(node.task)
             if node.child_chain is not None:
                 self._advance_sat(node.child_chain)

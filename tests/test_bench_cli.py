@@ -211,6 +211,22 @@ class TestCli:
         nodes = [line for line in dot.read_text().splitlines() if "[label=" in line]
         assert len(rows) == len(nodes) > 1
 
+    def test_graph_export_trace_builds_case_once(self, tmp_path, monkeypatch):
+        calls = []
+        build_case = bench.build_case
+
+        def counting(cfg):
+            calls.append(cfg)
+            return build_case(cfg)
+
+        monkeypatch.setattr(bench, "build_case", counting)
+        code = main(
+            ["graph-export", "--case", "dense2x2", "--n", "64", "--r", "2", "--workers", "2",
+             "--output", str(tmp_path / "g.dot"), "--trace", str(tmp_path / "t.csv")]
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 1
+
     def test_bench_singular_exit(self, monkeypatch, capsys, bounded):
         zero = build_hmatrix(build_diagonal_2x2_tree(256, 3)[0])
         monkeypatch.setattr(bench, "build_case", lambda cfg: zero)

@@ -251,14 +251,19 @@ class TestSolves:
         update_hmatrix(c, a, b)
         assert np.linalg.norm(flatten(c) - want) <= 1e-12 * np.linalg.norm(want)
 
-    def test_lower_solve_dense_only_vs_oracle(self):
+    @pytest.mark.parametrize("right", [False, True], ids=["left", "right"])
+    def test_solve_dense_only_vs_oracle(self, right):
         h = dense2x2_matrix(256, 3, seed=23)
         hlu_factorize(make_plan(h))
-        lfull, _ = lu_split(flatten(h))
+        lfull, ufull = lu_split(flatten(h))
         b = dense2x2_matrix(256, 3, seed=24)
         bfull = flatten(b).copy()
-        solve_lower_hmatrix(h, b)
-        want = np.linalg.solve(lfull, bfull)
+        if right:
+            solve_upper_hmatrix(b, h)
+            want = bfull @ np.linalg.inv(ufull)
+        else:
+            solve_lower_hmatrix(h, b)
+            want = np.linalg.solve(lfull, bfull)
         assert np.linalg.norm(flatten(b) - want) <= 1e-11 * np.linalg.norm(want)
 
     def test_update_with_zero_rank_operand_is_noop(self):
@@ -301,30 +306,51 @@ class TestTaskEmission:
         assert len(graph.tasks) == 1
         assert graph.edges == []
 
-    def test_solve_expansion_six_subtasks(self):
+    @pytest.mark.parametrize("right", [False, True], ids=["left", "right"])
+    def test_solve_expansion_six_subtasks(self, right):
         # both factor and right-hand side 2x2-partitioned: the solve splits
-        # into two solves per column chain with the cross updates between
+        # into two solves per block column (left) or block row (right) chain
+        # with the cross updates between
         h = dense2x2_matrix(64, 2, upper_right_split=True)
         hlu_factorize(make_plan(h))
-        l = h.child(0, 0)
-        b = h.child(0, 1)
         sk = build_skeleton(h)
         rt = Runtime(slots=sk.size, collect=True)
-        solve_lower_hmatrix(l, b, TruncationControl(1e-10), runtime=rt, skeleton=sk)
+        ctl = TruncationControl(1e-10)
+        if right:
+            solve_upper_hmatrix(h.child(0, 1), h.child(1, 1), ctl, runtime=rt, skeleton=sk)
+        else:
+            solve_lower_hmatrix(h.child(0, 0), h.child(0, 1), ctl, runtime=rt, skeleton=sk)
         tasks = rt.tasks
         parent = tasks[0]
         subs = [t for t in tasks if t.parent is parent]
         assert len(subs) == 6
         kinds = [t.label.split("[")[0] for t in subs]
-        assert kinds == ["lsolve", "lsolve", "update", "update", "lsolve", "lsolve"]
-        # chain structure: solve(0,j) -> update(1,j) -> solve(1,j) per column
+        solve = "rsolve" if right else "lsolve"
+        assert kinds == [solve, solve, "update", "update", solve, solve]
+        # chain structure per column (left) or row (right) of b:
+        # first solve -> update -> second solve
         edges = {(e.src.id, e.dst.id) for e in rt.task_graph().edges}
-        s00, s01, u10, u11, s10, s11 = subs
-        assert (s00.id, u10.id) in edges
-        assert (u10.id, s10.id) in edges
-        assert (s01.id, u11.id) in edges
-        assert (u11.id, s11.id) in edges
-        assert (s00.id, s01.id) not in edges
+        s0, s1, u0, u1, t0, t1 = subs
+        assert (s0.id, u0.id) in edges
+        assert (u0.id, t0.id) in edges
+        assert (s1.id, u1.id) in edges
+        assert (u1.id, t1.id) in edges
+        assert (s0.id, s1.id) not in edges
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_emission_leaves_payloads_unchanged(self, workers):
+        # collect mode runs no kernel, so a traced run may factorize the
+        # matrix a graph export was emitted from
+        h = mixed_matrix(96, leafsize=16)
+        before = h.copy()
+        emit_task_graph(make_plan(h, TruncationControl(1e-8), mode="parallel", workers=workers))
+        assert any(leaf.kind == LOWRANK for leaf in h.leaves())
+        for got, want in zip(h.leaves(), before.leaves(), strict=True):
+            if got.kind == LOWRANK:
+                assert np.array_equal(got.data.a, want.data.a)
+                assert np.array_equal(got.data.b, want.data.b)
+            else:
+                assert np.array_equal(got.data, want.data)
 
     def test_granularity_cutoff(self):
         # operations whose operands all span at most n // (2 workers) rows
@@ -481,3 +507,31 @@ def test_sequential_mode_uses_no_runtime(monkeypatch):
     monkeypatch.setattr(hlu_module, "Runtime", forbidden)
     h = dense2x2_matrix(64, 2)
     hlu_factorize(make_plan(h))
+
+
+def test_kernels_looked_up_at_call_time(monkeypatch):
+    # a traced run counts kernels by wrapping these module globals; a kernel
+    # bound into a local or a table at import time would escape the wrappers
+    import hluflow.hlu as hlu_module
+
+    names = ["lu_nopivot", "trsm_lower_unit", "trsm_upper_right", "gemm_update", "add_truncated"]
+    lock = threading.Lock()
+    counts = {}
+
+    def counting(name, kernel):
+        def wrapper(*args, **kwargs):
+            with lock:
+                counts[name] += 1
+            return kernel(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(hlu_module, name, counting(name, getattr(hlu_module, name)))
+    runs = []
+    for mode, workers in (("sequential", 1), ("parallel", 2)):
+        counts.update(dict.fromkeys(names, 0))
+        hlu_factorize(make_plan(mixed_matrix(), TruncationControl(1e-8), mode=mode, workers=workers))
+        runs.append(dict(counts))
+    assert all(runs[0][name] > 0 for name in names)
+    assert runs[0] == runs[1]
