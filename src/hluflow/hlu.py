@@ -45,11 +45,11 @@ PARALLEL = "parallel"
 
 
 class FlopCounter:
-    """Thread-safe accumulator for per-kernel analytic flop estimates."""
+    """Thread-safe accumulator of per-kernel integer flop estimates, exact in any order."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self.total = 0.0
+        self.total = 0
 
     def add(self, n):
         with self._lock:
@@ -310,7 +310,7 @@ def _solve(ex, f, b, right, ctl, flops):
                     dst = _target(bi, right)
                     src = _target(bp, right)
                     _matvec_into(fip, src, dst, right=right, acc=gemm_update)
-                    flops.add(2.0 * dst.shape[0] * dst.shape[1] * src.shape[1 if right else 0])
+                    flops.add(2 * dst.shape[0] * dst.shape[1] * src.shape[1 if right else 0])
 
                 ex.leaf(
                     _lbl("update", bi.row_range, bi.col_range)
@@ -338,7 +338,7 @@ def _update(ex, c, a, b, ctl, flops):
             p = _multiply_lowrank(a, b, ctl)
             m, n = p.shape
             c.data = add_truncated(c.data, p.neg(), ctl)
-            flops.add(2.0 * (c.data.k + p.k + 1) * (m + n) * (p.k + 1))
+            flops.add(2 * (c.data.k + p.k + 1) * (m + n) * (p.k + 1))
 
         ex.leaf(label, specs, body)
         return
@@ -350,15 +350,15 @@ def _update(ex, c, a, b, ctl, flops):
             if a.kind == LOWRANK:
                 fa = a.data
                 gemm_update(dst, fa.a, _times(b, fa.b.T, right=True))
-                flops.add(2.0 * fa.k * (dst.shape[0] + dst.shape[1]) * dst.shape[1])
+                flops.add(2 * fa.k * (dst.shape[0] + dst.shape[1]) * dst.shape[1])
             elif b.kind == LOWRANK:
                 fb = b.data
                 gemm_update(dst, _times(a, fb.a), fb.b.T)
-                flops.add(2.0 * fb.k * (dst.shape[0] + dst.shape[1]) * dst.shape[0])
+                flops.add(2 * fb.k * (dst.shape[0] + dst.shape[1]) * dst.shape[0])
             else:
                 av = a.data
                 gemm_update(dst, av, b.data)
-                flops.add(2.0 * dst.shape[0] * dst.shape[1] * av.shape[1])
+                flops.add(2 * dst.shape[0] * dst.shape[1] * av.shape[1])
 
         ex.leaf(label, specs, body)
         return
@@ -383,7 +383,7 @@ def _factor(ex, h, ctl, flops):
 
         def body():
             lu_nopivot(h.data, block_path=label)
-            flops.add(2.0 / 3.0 * h.rows**3)
+            flops.add(2 * h.rows**3 // 3)
 
         ex.leaf(label, [(h, "rw")], body)
         return

@@ -448,6 +448,21 @@ class TestParallelEquivalence:
         )
         assert np.array_equal(flatten(h_par), flatten(h_seq))
 
+    @pytest.mark.parametrize("case", ["dense2x2", "bem"])
+    def test_flop_totals_exact(self, case):
+        # integer estimates sum to the same total in any task completion order
+        if case == "dense2x2":
+            build, ctl = (lambda: dense2x2_matrix(256, 3)), TruncationControl()
+        else:
+            build, ctl = make_bem_case(1, 512, eta=0.5, leafsize=32, eps=1e-6).hmatrix.copy, TruncationControl(1e-6)
+        totals = []
+        for mode, workers in [("sequential", 1), ("parallel", 1)] + [("parallel", 2)] * 3:
+            plan = make_plan(build(), ctl, mode=mode, workers=workers)
+            hlu_factorize(plan)
+            totals.append(plan.flops.total)
+        assert isinstance(totals[0], int) and totals[0] > 0
+        assert totals == [totals[0]] * 5
+
 
 class TestCrossing:
     def test_early_release_lets_solve_start_inside_factor(self):

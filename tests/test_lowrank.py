@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hluflow.lowrank as lowrank
 from hluflow.lowrank import (
     LowRank,
     SingularBlockError,
@@ -22,6 +25,69 @@ GEMM_TARGETS = [
     ((5, 6), lambda m: m.T, (False, True)),
     ((8, 7), lambda m: m[1:7, 1:6], (False, False)),
 ]
+
+
+# Operand layouts the H-LU hands the dense kernels: name -> (base order, base
+# shape for an r x c operand, view of the base).  "F" is a transposed C array,
+# like the b factor of a low-rank block; "strided" has no unit stride, so BLAS
+# cannot address it and the kernels take the scipy path.
+LAYOUTS = {
+    "C": ("C", lambda r, c: (r, c), lambda x, r, c: x),
+    "F": ("C", lambda r, c: (c, r), lambda x, r, c: x.T),
+    "C-rows": ("C", lambda r, c: (r + 3, c), lambda x, r, c: x[1 : r + 1]),
+    "C-cols": ("C", lambda r, c: (r, c + 3), lambda x, r, c: x[:, 2 : c + 2]),
+    "F-rows": ("F", lambda r, c: (r + 3, c), lambda x, r, c: x[1 : r + 1]),
+    "F-cols": ("F", lambda r, c: (r, c + 3), lambda x, r, c: x[:, 2 : c + 2]),
+    "strided": ("C", lambda r, c: (r, 2 * c), lambda x, r, c: x[:, ::2]),
+}
+
+
+def operand(rng, layout, r, c):
+    """(base, view) of a random r x c operand stored in ``layout``."""
+    order, shape, view = LAYOUTS[layout]
+    base = np.asarray(rng.standard_normal(shape(r, c)), order=order)
+    return base, view(base, r, c)
+
+
+def check_in_place(kernel, layout, target_shape, operands, oracle, rng):
+    """Run kernel(*operands, target) on a target window in ``layout``: the
+    window matches the oracle at 1e-12, the call returns the window itself
+    and nothing outside the window changes."""
+    base, target = operand(rng, layout, *target_shape)
+    before = base.copy()
+    inside = np.zeros(base.shape, dtype=bool)
+    LAYOUTS[layout][2](inside, *target_shape)[...] = True
+    want = oracle(target.copy())
+    assert kernel(*operands, target) is target
+    assert np.array_equal(base[~inside], before[~inside])
+    assert target.shape == want.shape
+    assert np.linalg.norm(target - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
+
+
+@pytest.fixture
+def symbols_missing(monkeypatch):
+    """Load the binding as on a host whose library lacks the symbols."""
+    monkeypatch.setattr(lowrank.ctypes, "CDLL", lambda path: object())
+    loaded = lowrank._openblas()
+    assert loaded == ("scipy", None, None)
+    for name, value in zip(("BLAS_LIBRARY", "_dgemm", "_dtrsm"), loaded):
+        monkeypatch.setattr(lowrank, name, value)
+
+
+@pytest.fixture
+def binding_calls(monkeypatch):
+    """Counts of the calls into the binding's dgemm and dtrsm handles."""
+    if lowrank._dgemm is None:
+        pytest.skip("numpy ships no ILP64 OpenBLAS here")
+    calls = {"_dgemm": 0, "_dtrsm": 0}
+    for name in calls:
+
+        def counted(*args, name=name, fn=getattr(lowrank, name)):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(lowrank, name, counted)
+    return calls
 
 
 def random_lowrank(rng, m, n, k):
@@ -178,6 +244,133 @@ class TestDenseKernels:
             assert (c.flags.c_contiguous, c.flags.f_contiguous) == flags
             assert gemm_update(c, a, b) is c
             assert np.array_equal(base, want)
+
+
+# (m, n, k) of a gemm: at least 2**18 multiply-adds unless empty, so every
+# non-empty case goes through the binding when the library is there
+GEMM_SHAPES = {
+    "square": (70, 80, 60),
+    "one-row": (1, 512, 512),
+    "one-col": (512, 1, 512),
+    "inner-one": (512, 512, 1),
+    "empty-m": (0, 80, 60),
+    "empty-n": (70, 0, 60),
+    "empty-k": (70, 80, 0),
+}
+# (m, n) of the right-hand side b of a trsm; the factor is m x m on the left
+TRSM_SHAPES = {"square": (40, 30), "one-row": (1, 30), "one-col": (40, 1), "empty-m": (0, 30), "empty-n": (40, 0)}
+
+
+def check_gemm(rng, target, shape):
+    m, n, k = GEMM_SHAPES[shape]
+    for la in LAYOUTS:
+        for lb in LAYOUTS:
+            _, a = operand(rng, la, m, k)
+            _, b = operand(rng, lb, k, n)
+            check_in_place(
+                lambda a, b, c: gemm_update(c, a, b), target, (m, n), (a, b), lambda c: c - a @ b, rng
+            )
+
+
+def check_trsm_lower_unit(rng, target, shape):
+    m, n = TRSM_SHAPES[shape]
+    for lf in LAYOUTS:
+        # the upper triangle and the diagonal hold values the kernel must not read
+        _, l = operand(rng, lf, m, m)
+        l /= 2 * max(m, 1)
+        unit = np.tril(l, -1) + np.eye(m)
+        check_in_place(trsm_lower_unit, target, (m, n), (l,), lambda b: np.linalg.solve(unit, b), rng)
+
+
+def check_trsm_upper_right(rng, target, shape):
+    n, m = TRSM_SHAPES[shape]
+    for lf in LAYOUTS:
+        # the lower triangle holds values the kernel must not read
+        _, u = operand(rng, lf, n, n)
+        u /= 2 * max(n, 1)
+        u += 2 * np.eye(n)
+        upper = np.triu(u)
+        check_in_place(
+            trsm_upper_right, target, (m, n), (u,), lambda b: np.linalg.solve(upper.T, b.T).T, rng
+        )
+
+
+class TestBlasLayouts:
+    """Every kernel on every target and operand layout, against numpy."""
+
+    @pytest.mark.parametrize("shape", GEMM_SHAPES)
+    @pytest.mark.parametrize("target", LAYOUTS)
+    def test_gemm_update(self, rng, target, shape):
+        check_gemm(rng, target, shape)
+
+    @pytest.mark.parametrize("shape", TRSM_SHAPES)
+    @pytest.mark.parametrize("target", LAYOUTS)
+    def test_trsm_lower_unit(self, rng, target, shape):
+        check_trsm_lower_unit(rng, target, shape)
+
+    @pytest.mark.parametrize("shape", TRSM_SHAPES)
+    @pytest.mark.parametrize("target", LAYOUTS)
+    def test_trsm_upper_right(self, rng, target, shape):
+        check_trsm_upper_right(rng, target, shape)
+
+    @pytest.mark.parametrize("target", LAYOUTS)
+    def test_symbols_missing_falls_back_to_scipy(self, rng, target, symbols_missing):
+        assert lowrank.BLAS_LIBRARY == "scipy"
+        check_gemm(rng, target, "square")
+        check_trsm_lower_unit(rng, target, "square")
+        check_trsm_upper_right(rng, target, "square")
+
+
+class TestBlasDispatch:
+    def test_library_named(self):
+        bundled = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))
+        if bundled:
+            assert lowrank.BLAS_LIBRARY in [p.name for p in bundled]
+            assert lowrank._dgemm is not None and lowrank._dtrsm is not None
+        else:
+            assert lowrank.BLAS_LIBRARY == "scipy"
+
+    def test_large_gemm_and_every_trsm_use_binding(self, rng, binding_calls):
+        c = rng.standard_normal((64, 64))
+        gemm_update(c, rng.standard_normal((64, 64)), rng.standard_normal((64, 64)))
+        assert binding_calls == {"_dgemm": 1, "_dtrsm": 0}
+        l = np.eye(16) + np.tril(rng.standard_normal((16, 16)), -1) / 32
+        u = np.eye(16) + np.triu(rng.standard_normal((16, 16))) / 32
+        for b in (rng.standard_normal((16, 3)), rng.standard_normal((3, 16)).T):
+            trsm_lower_unit(l, b)
+            trsm_lower_unit(l.T.copy().T, b)
+            trsm_upper_right(u, b.T)
+            trsm_upper_right(u.T.copy().T, b.T)
+        assert binding_calls == {"_dgemm": 1, "_dtrsm": 8}
+        # an empty right-hand side returns at once, even as an addressable window
+        x = rng.standard_normal((16, 16))
+        assert trsm_lower_unit(l, x[:, 3:3]).shape == (16, 0)
+        assert trsm_upper_right(u, x[3:3, :]).shape == (0, 16)
+        assert binding_calls == {"_dgemm": 1, "_dtrsm": 8}
+
+    def test_small_or_strided_gemm_takes_scipy_path(self, rng, binding_calls):
+        a, b = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
+        c = rng.standard_normal((16, 16))
+        want = c - a @ b
+        gemm_update(c, a, b)
+        assert np.allclose(c, want, rtol=1e-12, atol=1e-12)
+        x = rng.standard_normal((64, 128))
+        a, b = rng.standard_normal((64, 64)), rng.standard_normal((64, 64))
+        want = x[:, ::2] - a @ b
+        gemm_update(x[:, ::2], a, b)
+        assert np.allclose(x[:, ::2], want, rtol=1e-12, atol=1e-12)
+        trsm_lower_unit(np.eye(64), x[:, ::2])
+        trsm_upper_right(np.eye(64), x[:, ::2])
+        v = rng.standard_normal(64)
+        assert np.array_equal(trsm_lower_unit(np.eye(64), v.copy()), v)
+        assert np.array_equal(trsm_upper_right(np.eye(64), v.copy()), v)
+        # overlapping rows (row stride 8 bytes, 64 columns) have no leading dimension
+        a = np.lib.stride_tricks.sliding_window_view(rng.standard_normal(127), 64)
+        c = rng.standard_normal((64, 64))
+        want = c - a @ b
+        gemm_update(c, a, b)
+        assert np.allclose(c, want, rtol=1e-12, atol=1e-12)
+        assert binding_calls == {"_dgemm": 0, "_dtrsm": 0}
 
 
 def test_truncation_control_validation():
