@@ -5,14 +5,11 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical failure,
 """
 
 import argparse
+import ctypes
 import os
 import sys
 
-# Keep BLAS single-threaded: parallelism belongs to the task runtime, and
-# per-call determinism keeps runs reproducible.  Must happen before numpy
-# loads its backend threads.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+from .lowrank import BLAS_LIBRARY
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -192,6 +189,12 @@ def _cmd_graph_export(args):
 
 
 def main(argv=None):
+    # One BLAS thread per call (parallelism belongs to the task runtime) unless the user
+    # set OPENBLAS_NUM_THREADS, which OpenBLAS read when the package imported numpy.
+    if "OPENBLAS_NUM_THREADS" not in os.environ and BLAS_LIBRARY != "scipy":
+        pin = ctypes.CDLL(BLAS_LIBRARY).scipy_openblas_set_num_threads64_
+        pin.argtypes, pin.restype = [ctypes.c_int], None
+        pin(1)
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

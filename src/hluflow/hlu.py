@@ -12,9 +12,9 @@ runtime rediscovers the dependency structure of the recursion.  Below a
 granularity cutoff (see ``_Emit``) a whole recursion level runs inline inside
 one strong task, as OpenMP's ``final`` clause would.
 
-Low-rank destinations accumulate through truncated addition; products
-contributing to one destination are emitted in a fixed source order, so a
-single-worker parallel run reproduces the sequential result bit for bit.
+A low-rank destination accumulates its updates exactly, concatenating factors
+in a fixed source order, and is truncated once, just before its triangular
+solve; parallel runs reproduce the sequential result bit for bit.
 """
 
 from __future__ import annotations
@@ -161,25 +161,20 @@ def _multiply_lowrank(a, b, ctl: TruncationControl) -> LowRank:
         return LowRank(_times(a, fb.a), fb.b)
     if a.kind == DENSE and b.kind == DENSE:
         return compress_dense(a.data @ b.data, ctl)
-    parts = []
-    for _, _, rr, cc, pairs in _product_grid(a, b):
-        acc = LowRank.zeros(rr[1] - rr[0], cc[1] - cc[0])
-        for ap, bp in pairs:
-            acc = add_truncated(acc, _multiply_lowrank(ap, bp, ctl), ctl)
-        parts.append((rr, cc, acc))
+    # every product of every cell, concatenated and truncated once
+    parts = [(rr, cc, _multiply_lowrank(ap, bp, ctl))
+             for _, _, rr, cc, pairs in _product_grid(a, b) for ap, bp in pairs]
     return parts[0][2] if len(parts) == 1 else _merge_lowrank(parts, ctl)
 
 
 def _merge_lowrank(parts, ctl):
-    """One recompressed LowRank from the (rows, cols, LowRank) cells of a grid."""
+    """One recompressed LowRank from (rows, cols, LowRank) parts of a grid, any per cell."""
     r0, c0 = parts[0][0][0], parts[0][1][0]
     k_total = sum(p.k for _, _, p in parts)
     u = np.zeros((parts[-1][0][1] - r0, k_total))
     v = np.zeros((parts[-1][1][1] - c0, k_total))
     off = 0
     for rr, cc, p in parts:
-        if p.k == 0:
-            continue
         u[rr[0] - r0 : rr[1] - r0, off : off + p.k] = p.a
         v[cc[0] - c0 : cc[1] - c0, off : off + p.k] = p.b
         off += p.k
@@ -262,6 +257,19 @@ def _target(op, right):
     return d.b.T if right else d.a
 
 
+class _Sum(LowRank):
+    """The exact sum of the updates a low-rank leaf accumulated, not yet truncated."""
+
+    __slots__ = ()
+
+
+def _flush(b, ctl, flops):
+    """Truncate the sum a low-rank leaf accumulated (two thin QRs, a k x k SVD); else no-op."""
+    if isinstance(b.data, _Sum):
+        flops.add(4 * sum(b.data.shape) * b.data.k**2 + 22 * b.data.k**3)
+        b.data = recompress(b.data, ctl)
+
+
 def _solve(ex, f, b, right, ctl, flops):
     """b := f^-1 b, or b := b f^-1 if ``right``, f a factored diagonal block.
 
@@ -269,7 +277,7 @@ def _solve(ex, f, b, right, ctl, flops):
     factor.  ``b`` is an H-node or a row (left) or column (right) window of
     a leaf; against a partitioned factor a leaf is solved panel by panel, in
     place.  A partitioned ``b`` is visited transposed on the right, so both
-    sides run one block-row elimination.
+    sides run one block-row elimination.  A whole low-rank leaf is flushed first.
     """
     label = _lbl("rsolve" if right else "lsolve", b.row_range, b.col_range)
     if f.kind == DENSE:
@@ -277,6 +285,7 @@ def _solve(ex, f, b, right, ctl, flops):
             raise StructureError("dense factor against partitioned right-hand side")
 
         def body():
+            _flush(b, ctl, flops)
             x = _target(b, right)
             (trsm_upper_right if right else trsm_lower_unit)(f.data, x)
             flops.add(f.rows * f.rows * x.shape[0 if right else 1])
@@ -298,6 +307,8 @@ def _solve(ex, f, b, right, ctl, flops):
                 for j in range(m):
                     _solve(ex, f.child(i, i), bc(i, j), right, ctl, flops)
             return
+        if isinstance(b, HMatrix) and b.kind == LOWRANK:
+            ex.leaf(label, [(b, "rw")], lambda: _flush(b, ctl, flops))
         if right:
             panels = [_Window(b, b.row_range, cols) for cols in _col_splits(f)]
         else:
@@ -333,12 +344,17 @@ def _update(ex, c, a, b, ctl, flops):
     specs = [(c, "rw"), (a, "r"), (b, "r")]
 
     if c.kind == LOWRANK:
-        # low-rank destination: one truncated accumulation task
+        # low-rank destination: append the product to the exact sum, or truncate a sum
+        # that would reach half the block size now (dense, a bounded batch)
         def body():
-            p = _multiply_lowrank(a, b, ctl)
-            m, n = p.shape
-            c.data = add_truncated(c.data, p.neg(), ctl)
-            flops.add(2 * (c.data.k + p.k + 1) * (m + n) * (p.k + 1))
+            p, d = _multiply_lowrank(a, b, ctl), c.data
+            (m, n), inner = p.shape, a.col_range[1] - a.col_range[0]
+            if d.k + p.k >= min(m, n) / 2:
+                c.data = add_truncated(d, p.neg(), ctl)
+                flops.add(2 * m * n * (d.k + p.k) + 22 * min(m, n) ** 3)
+            elif p.k:
+                c.data = _Sum(np.hstack((d.a, -p.a)), np.hstack((d.b, p.b)))
+            flops.add(2 * p.k * inner * (n if a.kind == LOWRANK else m))  # rank k, dense other side
 
         ex.leaf(label, specs, body)
         return
@@ -463,8 +479,14 @@ def solve_upper_hmatrix(b, u, ctl=None, runtime=None, skeleton=None):
 
 
 def update_hmatrix(c, a, b, ctl=None, runtime=None, skeleton=None):
-    """c := c - a @ b; emits tasks when a runtime is given, else runs inline."""
-    return _run_op(_update, c, (c, a, b), ctl, runtime, skeleton)
+    """c := c - a @ b, leaves truncated; emits tasks when a runtime is given, else runs inline."""
+    def op(ex, c, a, b, ctl, flops):
+        _update(ex, c, a, b, ctl, flops)
+        for x in (x for x in c.leaves() if x.kind == LOWRANK):
+            label = _lbl("update", x.row_range, x.col_range)
+            ex.leaf(label, [(x, "rw")], lambda x=x: _flush(x, ctl, flops))
+
+    return _run_op(op, c, (c, a, b), ctl, runtime, skeleton)
 
 
 # -- triangular matvec on the factored matrix ----------------------------------------

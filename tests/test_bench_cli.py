@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,9 @@ from hluflow.cli import (
     build_parser,
     main,
 )
+import hluflow
 from hluflow import bench
+from hluflow.lowrank import BLAS_LIBRARY
 from hluflow.blocks import build_diagonal_2x2_tree
 from hluflow.hmatrix import build_hmatrix, flatten, load_hmatrix
 
@@ -246,6 +252,30 @@ class TestCli:
         assert code == EXIT_OK
         cfg = BenchConfig.from_json(capsys.readouterr().out.strip())
         assert cfg.workers == 3
+
+    @pytest.mark.skipif(BLAS_LIBRARY == "scipy", reason="numpy ships no OpenBLAS here")
+    @pytest.mark.parametrize("user", [None, "2"], ids=["unset", "user-set"])
+    def test_main_pins_blas_threads(self, user):
+        # OpenBLAS reads its thread count when the package imports numpy, before
+        # main runs: main sets one thread in the loaded library unless the user
+        # chose a count
+        script = (
+            "import ctypes, hluflow.cli as cli\n"
+            "get = ctypes.CDLL(cli.BLAS_LIBRARY).scipy_openblas_get_num_threads64_\n"
+            "before = get()\n"
+            "cli.main(['bench', '--dump-config'])\n"
+            "print(before, get())\n"
+        )
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(hluflow.__file__).parent.parent)
+        if user is not None:
+            env["OPENBLAS_NUM_THREADS"] = user
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        ).stdout
+        before, after = map(int, out.splitlines()[-1].split())
+        assert after == (1 if user is None else before)
 
     def test_parser_covers_all_config_fields(self):
         # every BenchConfig field is reachable from the bench flags

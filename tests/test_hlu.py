@@ -27,7 +27,13 @@ from hluflow.hlu import (
     upper_matvec,
 )
 from hluflow.kernels import make_bem_case
-from hluflow.lowrank import LowRank, SingularBlockError, TruncationControl
+from hluflow.lowrank import (
+    LowRank,
+    SingularBlockError,
+    TruncationControl,
+    add_truncated,
+    recompress,
+)
 from hluflow.runtime import Runtime
 
 
@@ -276,6 +282,101 @@ class TestSolves:
         assert np.array_equal(flatten(c), before)
 
 
+class TestAccumulatedUpdates:
+    """Low-rank leaves sum their updates exactly and are truncated once, before their solve."""
+
+    @pytest.mark.parametrize("emit", [False, True], ids=["inline", "tasks"])
+    @pytest.mark.parametrize(
+        "ctl", [TruncationControl(1e-12, kmax=2), TruncationControl(1e-1)], ids=["kmax", "eps"]
+    )
+    def test_update_leaves_lowrank_truncated(self, ctl, emit):
+        # emitted tasks name their operands' slots, so all three share one matrix
+        h = mixed_matrix(256, leafsize=16, eta=0.5, seed=10)
+        c, a, b = h.child(1, 1), h.child(1, 0), h.child(0, 1)
+        if emit:
+            sk = build_skeleton(h)
+            rt = Runtime(slots=sk.size, workers=2)
+            update_hmatrix(c, a, b, ctl, runtime=rt, skeleton=sk)
+            rt.run()
+        else:
+            update_hmatrix(c, a, b, ctl)
+        leaves = [leaf.data for leaf in c.leaves() if leaf.kind == LOWRANK]
+        assert leaves
+        for x in leaves:
+            again = recompress(x, ctl)
+            assert ctl.kmax is None or x.k <= ctl.kmax
+            assert again.k == x.k
+            assert np.linalg.norm(again.value() - x.value()) <= 1e-12 * np.linalg.norm(x.value())
+
+    def test_truncations_fewer_than_updates(self, monkeypatch):
+        # each leaf is truncated by its flush, at most once, and by a batch when
+        # its sum reaches half its size; every update body multiplies once
+        import hluflow.hlu as hlu_module
+
+        case = make_bem_case(1, 512, eta=0.5, leafsize=32, eps=1e-6)
+        h = case.hmatrix.copy()
+        lowrank = [leaf for leaf in h.leaves() if leaf.kind == LOWRANK]
+        flushed, counts, depth = [], {"bodies": 0, "truncations": 0}, [0]
+
+        def owner(x):
+            return next((i for i, leaf in enumerate(lowrank) if leaf.data is x), None)
+
+        def recompress_counted(x, ctl):
+            counts["truncations"] += 1
+            flushed.append(owner(x))
+            return recompress(x, ctl)
+
+        def add_truncated_counted(x1, x2, ctl):
+            counts["truncations"] += 1
+            return add_truncated(x1, x2, ctl)
+
+        multiply = hlu_module._multiply_lowrank
+
+        def multiply_counted(a, b, ctl):
+            counts["bodies"] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return multiply(a, b, ctl)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(hlu_module, "recompress", recompress_counted)
+        monkeypatch.setattr(hlu_module, "add_truncated", add_truncated_counted)
+        monkeypatch.setattr(hlu_module, "_multiply_lowrank", multiply_counted)
+        hlu_factorize(make_plan(h, TruncationControl(1e-6)))
+        assert counts["truncations"] * 3 <= counts["bodies"]
+        leaf_flushes = [i for i in flushed if i is not None]
+        assert leaf_flushes and len(set(leaf_flushes)) == len(leaf_flushes)
+        for leaf in lowrank:
+            assert recompress(leaf.data, TruncationControl(1e-6)).k == leaf.data.k
+
+    @pytest.mark.parametrize("mode, workers", [("sequential", 1), ("parallel", 3)])
+    def test_solve_kernels_see_truncated_leaves(self, monkeypatch, mode, workers):
+        # the flush runs before the solve's kernels: a triangular solve on a
+        # low-rank leaf's factors sees at most kmax columns, or the leaf's
+        # assembled rank if no update reached it
+        import hluflow.hlu as hlu_module
+
+        kmax = 2
+        h = make_bem_case(1, 512, eta=0.5, leafsize=32, eps=1e-6).hmatrix
+        lowrank = [(leaf, max(kmax, leaf.data.k)) for leaf in h.leaves() if leaf.kind == LOWRANK]
+        excess = []
+
+        def seen(kernel):
+            def wrapper(f, x):
+                for leaf, bound in lowrank:
+                    if np.may_share_memory(x, leaf.data.a) or np.may_share_memory(x, leaf.data.b):
+                        excess.append(leaf.data.k - bound)
+                return kernel(f, x)
+
+            return wrapper
+
+        for name in ("trsm_lower_unit", "trsm_upper_right"):
+            monkeypatch.setattr(hlu_module, name, seen(getattr(hlu_module, name)))
+        hlu_factorize(make_plan(h, TruncationControl(1e-6, kmax), mode=mode, workers=workers))
+        assert excess and max(excess) <= 0
+
+
 class TestTaskEmission:
     def test_top_level_five_tasks_and_edges(self):
         h = dense2x2_matrix(64, 2)
@@ -416,11 +517,11 @@ class TestParallelEquivalence:
         case = make_bem_case(2, 384, eta=0.5, leafsize=32, eps=1e-6)
         h_seq = case.hmatrix.copy()
         hlu_factorize(make_plan(h_seq, TruncationControl(1e-6)))
-        h_par = case.hmatrix.copy()
-        hlu_factorize(
-            make_plan(h_par, TruncationControl(1e-6), mode="parallel", workers=2)
-        )
-        assert np.array_equal(flatten(h_par), flatten(h_seq))
+        for workers, wd_er in [(1, True), (2, True), (3, True), (3, False)]:
+            h_par = case.hmatrix.copy()
+            ctl = TruncationControl(1e-6)
+            hlu_factorize(make_plan(h_par, ctl, mode="parallel", workers=workers, wd_er=wd_er))
+            assert np.array_equal(flatten(h_par), flatten(h_seq)), (workers, wd_er)
 
     def test_sphere_geometry_residual(self, rng):
         case = make_bem_case(3, 512, eta=1.0, leafsize=48, eps=1e-6)
@@ -529,7 +630,14 @@ def test_kernels_looked_up_at_call_time(monkeypatch):
     # bound into a local or a table at import time would escape the wrappers
     import hluflow.hlu as hlu_module
 
-    names = ["lu_nopivot", "trsm_lower_unit", "trsm_upper_right", "gemm_update", "add_truncated"]
+    names = [
+        "lu_nopivot",
+        "trsm_lower_unit",
+        "trsm_upper_right",
+        "gemm_update",
+        "add_truncated",
+        "recompress",
+    ]
     lock = threading.Lock()
     counts = {}
 
