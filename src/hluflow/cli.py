@@ -5,11 +5,10 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical failure,
 """
 
 import argparse
-import ctypes
 import os
 import sys
 
-from .lowrank import BLAS_LIBRARY
+from .lowrank import pin_blas_threads
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -189,12 +188,7 @@ def _cmd_graph_export(args):
 
 
 def main(argv=None):
-    # One BLAS thread per call (parallelism belongs to the task runtime) unless the user
-    # set OPENBLAS_NUM_THREADS, which OpenBLAS read when the package imported numpy.
-    if "OPENBLAS_NUM_THREADS" not in os.environ and BLAS_LIBRARY != "scipy":
-        pin = ctypes.CDLL(BLAS_LIBRARY).scipy_openblas_set_num_threads64_
-        pin.argtypes, pin.restype = [ctypes.c_int], None
-        pin(1)
+    pin_blas_threads()
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

@@ -9,12 +9,12 @@ an explicit accuracy contract.
 from __future__ import annotations
 
 import ctypes
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dgemm
 
 
 class SingularBlockError(ArithmeticError):
@@ -136,22 +136,21 @@ def compress_dense(d, ctl: TruncationControl) -> LowRank:
 # -- dense kernels ----------------------------------------------------------
 
 _LU_BASE = 48
+_PIVOT_RTOL = 1e-12
 
 
-def lu_nopivot(a, pivot_tol=None, block_path=""):
+def lu_nopivot(a, block_path=""):
     """In-place unpivoted LU: a is overwritten with unit-lower L and U.
 
-    The diagonal of L is implied.  Pivots with magnitude below ``pivot_tol``
-    (default 1e-12 times the largest entry of the input) abort with
+    The diagonal of L is implied.  Pivots with magnitude at most
+    _PIVOT_RTOL times the largest entry of the input abort with
     SingularBlockError rather than producing garbage.  Blocked recursion
     keeps the bulk of the work in matrix-matrix products.
     """
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("LU requires a square block")
-    if pivot_tol is None:
-        amax = float(np.max(np.abs(a))) if n else 0.0
-        pivot_tol = 1e-12 * amax
+    pivot_tol = _PIVOT_RTOL * float(np.max(np.abs(a))) if n else 0.0
 
     def base(v):
         for j in range(v.shape[0]):
@@ -185,27 +184,39 @@ def lu_nopivot(a, pivot_tol=None, block_path=""):
 
 
 def _openblas():
-    """(file name, cblas_dgemm, cblas_dtrsm) of the ILP64 OpenBLAS numpy has loaded."""
+    """(file name, cblas_dgemm, cblas_dtrsm, set_num_threads) of the ILP64 OpenBLAS numpy has loaded."""
     try:
         path = next((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))
         lib = ctypes.CDLL(str(path))
         gemm, trsm = lib.scipy_cblas_dgemm64_, lib.scipy_cblas_dtrsm64_
+        threads = lib.scipy_openblas_set_num_threads64_
     except (StopIteration, OSError, AttributeError):
-        return "scipy", None, None
+        return "scipy", None, None, None
     e, i, d, p = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     gemm.argtypes = [e, e, e, i, i, i, d, p, i, p, i, d, p, i]
     trsm.argtypes = [e, e, e, e, e, i, i, d, p, i, p, i]
-    gemm.restype = trsm.restype = None
-    return path.name, gemm, trsm
+    threads.argtypes = [e]
+    gemm.restype = trsm.restype = threads.restype = None
+    return path.name, gemm, trsm, threads
 
 
 # The OpenBLAS file the kernels call, GIL released per call, or "scipy" without it.
-BLAS_LIBRARY, _dgemm, _dtrsm = _openblas()
+BLAS_LIBRARY, _dgemm, _dtrsm, _set_threads = _openblas()
 _ROW, _COL, _NO, _T, _UP, _LO, _NONUNIT, _UNIT, _LEFT, _RIGHT = 101, 102, 111, 112, 121, 122, 131, 132, 141, 142
-# ctypes costs ~9 us a call more than f2py, more than a released GIL wins on the
-# small products of 64-point leaves (64x64x8: 11.8 against 3.7 us).  trsm has no
+# Per call (min of 5; one / two BLAS threads) the binding takes 29-30 / 29-31 us
+# on a 64^3 product and 140-142 / 82-92 us on 128^3, numpy's c -= a @ b 17-18 /
+# 17-18 us and 135-141 / 93-103 us: the ctypes call's fixed cost, about 12 us, is
+# repaid only from about 128^3, where numpy's temporary product costs as much.
+# Smaller products go to numpy (64x64x3: 4-6 against 11-17 us).  trsm has no
 # threshold: scipy's triangular solve copies b, so the binding is always cheaper.
 _GEMM_MIN_WORK = 2**18
+
+
+def pin_blas_threads():
+    """One BLAS thread per call (parallelism belongs to the task runtime) unless the user
+    set OPENBLAS_NUM_THREADS, which OpenBLAS read when numpy loaded it."""
+    if _set_threads is not None and "OPENBLAS_NUM_THREADS" not in os.environ:
+        _set_threads(1)
 
 
 def _layout(x):
@@ -255,27 +266,15 @@ def trsm_upper_right(u, b):
 def gemm_update(c, a, b):
     """c <- c - a @ b in place.
 
-    A product of _GEMM_MIN_WORK or more multiply-adds runs through the
-    binding; a smaller one on a C- or Fortran-contiguous c as one f2py dgemm
-    on c (on the transposed views when c is C order, as c.T is Fortran
-    order), avoiding the temporary product and an extra pass over c.
+    A product of _GEMM_MIN_WORK or more multiply-adds on operands BLAS can
+    address runs through the binding, any other as numpy's ``c -= a @ b``.
     """
     (m, n), k = c.shape, a.shape[-1]
-    fits = a.shape == (m, k) and b.shape == (k, n)
-    if fits and not (m and n and k):
-        return c
-    if fits and _dgemm is not None and m * n * k >= _GEMM_MIN_WORK:
+    if _dgemm is not None and m * n * k >= _GEMM_MIN_WORK and a.shape == (m, k) and b.shape == (k, n):
         lc, la, lb = _layout(c), _layout(a), _layout(b)
         if lc and la and lb:
             _dgemm(_ROW if lc[0] else _COL, _T if la[0] != lc[0] else _NO, _T if lb[0] != lc[0] else _NO,
                    m, n, k, -1.0, a.ctypes.data, la[1], b.ctypes.data, lb[1], 1.0, c.ctypes.data, lc[1])
-            return c
-    if a.dtype == b.dtype == c.dtype == np.float64:
-        if c.flags.c_contiguous:
-            dgemm(alpha=-1.0, a=b.T, b=a.T, beta=1.0, c=c.T, overwrite_c=True)
-            return c
-        if c.flags.f_contiguous:
-            dgemm(alpha=-1.0, a=a, b=b, beta=1.0, c=c, overwrite_c=True)
             return c
     c -= a @ b
     return c

@@ -260,8 +260,8 @@ class TestCli:
         # main runs: main sets one thread in the loaded library unless the user
         # chose a count
         script = (
-            "import ctypes, hluflow.cli as cli\n"
-            "get = ctypes.CDLL(cli.BLAS_LIBRARY).scipy_openblas_get_num_threads64_\n"
+            "import ctypes, hluflow.cli as cli, hluflow.lowrank as lowrank\n"
+            "get = ctypes.CDLL(lowrank.BLAS_LIBRARY).scipy_openblas_get_num_threads64_\n"
             "before = get()\n"
             "cli.main(['bench', '--dump-config'])\n"
             "print(before, get())\n"

@@ -28,6 +28,7 @@ from hluflow.hlu import (
 )
 from hluflow.kernels import make_bem_case
 from hluflow.lowrank import (
+    BLAS_LIBRARY,
     LowRank,
     SingularBlockError,
     TruncationControl,
@@ -658,3 +659,22 @@ def test_kernels_looked_up_at_call_time(monkeypatch):
         runs.append(dict(counts))
     assert all(runs[0][name] > 0 for name in names)
     assert runs[0] == runs[1]
+
+
+@pytest.mark.skipif(BLAS_LIBRARY == "scipy", reason="numpy ships no OpenBLAS here")
+def test_factorization_calls_no_scipy_kernel(monkeypatch):
+    # with numpy's OpenBLAS loaded every dense kernel runs on it: scipy's
+    # triangular solve, the only scipy kernel left, is never reached
+    import hluflow.lowrank as lowrank_module
+
+    def forbidden(*a, **k):
+        raise AssertionError("scipy.linalg.solve_triangular called")
+
+    monkeypatch.setattr(lowrank_module.scipy.linalg, "solve_triangular", forbidden)
+    case = make_bem_case(1, 256, eta=0.5, leafsize=32, eps=1e-6)
+    factors = []
+    for mode, workers in (("sequential", 1), ("parallel", 2)):
+        h = case.hmatrix.copy()
+        hlu_factorize(make_plan(h, TruncationControl(1e-6), mode=mode, workers=workers))
+        factors.append(flatten(h))
+    assert np.array_equal(factors[0], factors[1])

@@ -18,19 +18,22 @@ from hluflow.lowrank import (
 )
 
 
-# gemm_update targets of shape 6x5: base shape, view of the base, and the
-# view's (C-contiguous, F-contiguous) flags; C order, F order, a window
+# gemm_update targets: base shape, view of the base, the view's (C-contiguous,
+# F-contiguous) flags and the inner dimension k of the product; a 6x5 target in
+# C order, F order and as a window, and the 64x64x3 update that a rank-3
+# product makes to a 64-point leaf
 GEMM_TARGETS = [
-    ((6, 5), lambda m: m, (True, False)),
-    ((5, 6), lambda m: m.T, (False, True)),
-    ((8, 7), lambda m: m[1:7, 1:6], (False, False)),
+    ((6, 5), lambda m: m, (True, False), 4),
+    ((5, 6), lambda m: m.T, (False, True), 4),
+    ((8, 7), lambda m: m[1:7, 1:6], (False, False), 4),
+    ((64, 64), lambda m: m, (True, False), 3),
 ]
 
 
 # Operand layouts the H-LU hands the dense kernels: name -> (base order, base
 # shape for an r x c operand, view of the base).  "F" is a transposed C array,
 # like the b factor of a low-rank block; "strided" has no unit stride, so BLAS
-# cannot address it and the kernels take the scipy path.
+# cannot address it: gemm_update takes numpy's path, the trsm kernels scipy's.
 LAYOUTS = {
     "C": ("C", lambda r, c: (r, c), lambda x, r, c: x),
     "F": ("C", lambda r, c: (c, r), lambda x, r, c: x.T),
@@ -69,8 +72,8 @@ def symbols_missing(monkeypatch):
     """Load the binding as on a host whose library lacks the symbols."""
     monkeypatch.setattr(lowrank.ctypes, "CDLL", lambda path: object())
     loaded = lowrank._openblas()
-    assert loaded == ("scipy", None, None)
-    for name, value in zip(("BLAS_LIBRARY", "_dgemm", "_dtrsm"), loaded):
+    assert loaded == ("scipy", None, None, None)
+    for name, value in zip(("BLAS_LIBRARY", "_dgemm", "_dtrsm", "_set_threads"), loaded):
         monkeypatch.setattr(lowrank, name, value)
 
 
@@ -232,12 +235,13 @@ class TestDenseKernels:
         assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
     def test_gemm_update(self, rng):
-        # the C- and F-order targets take the in-place dgemm, the
-        # non-contiguous window the temporary-product fallback
-        for shape, view, flags in GEMM_TARGETS:
+        # every product here is below _GEMM_MIN_WORK, so each target runs
+        # numpy's c -= a @ b and matches it bit for bit
+        for shape, view, flags, k in GEMM_TARGETS:
             base = rng.standard_normal(shape)
-            a = rng.standard_normal((6, 4))
-            b = rng.standard_normal((4, 5))
+            m, n = view(base).shape
+            a = rng.standard_normal((m, k))
+            b = rng.standard_normal((k, n))
             want = base.copy()
             view(want)[...] -= a @ b
             c = view(base)
@@ -348,12 +352,12 @@ class TestBlasDispatch:
         assert trsm_upper_right(u, x[3:3, :]).shape == (0, 16)
         assert binding_calls == {"_dgemm": 1, "_dtrsm": 8}
 
-    def test_small_or_strided_gemm_takes_scipy_path(self, rng, binding_calls):
+    def test_small_or_strided_gemm_takes_numpy_path(self, rng, binding_calls):
         a, b = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
         c = rng.standard_normal((16, 16))
         want = c - a @ b
         gemm_update(c, a, b)
-        assert np.allclose(c, want, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(c, want)
         x = rng.standard_normal((64, 128))
         a, b = rng.standard_normal((64, 64)), rng.standard_normal((64, 64))
         want = x[:, ::2] - a @ b
