@@ -1,4 +1,4 @@
-"""Benchmark cases, timing harness and result tables.
+"""Benchmark cases and the timing harness, which returns one JSON-ready row.
 
 Two case families: the synthetic dense 2x2-recursive structure (all leaves
 dense, diagonally dominant random entries) and the kernel-assembled cases on
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -74,52 +74,6 @@ class BenchConfig:
         return cls(**json.loads(text)).validate()
 
 
-@dataclass
-class BenchResult:
-    """Timings and quality measures of one configuration."""
-
-    config: BenchConfig
-    times: list = field(default_factory=list)
-    seq_times: list = field(default_factory=list)
-    flops: float = 0.0
-    residual: float = float("nan")
-    peak_rank: int = 0
-
-    @property
-    def min_time(self):
-        return min(self.times)
-
-    @property
-    def median_time(self):
-        return statistics.median(self.times)
-
-    @property
-    def gflops(self):
-        return self.flops / self.min_time / 1e9
-
-    @property
-    def speedup(self):
-        if not self.seq_times:
-            return 1.0
-        return statistics.median(self.seq_times) / self.median_time
-
-    def row(self):
-        cfg = self.config
-        shape = cfg.eta if cfg.case == "bem" else cfg.r
-        return {
-            "case": cfg.case,
-            "n": cfg.n,
-            "eta_or_r": shape,
-            "mode": cfg.mode,
-            "workers": cfg.workers if cfg.mode == "par" else 1,
-            "wd_er": cfg.wd_er if cfg.mode == "par" else "",
-            "time": self.median_time,
-            "gflops": self.gflops,
-            "speedup": self.speedup,
-            "residual": self.residual,
-        }
-
-
 def build_case(cfg: BenchConfig):
     """Assembled H-matrix for a configuration (freshly filled each call)."""
     if cfg.case == "dense2x2":
@@ -164,81 +118,43 @@ def _plan_for(cfg: BenchConfig, h, mode):
 
 
 def _timed_runs(cfg, template, mode):
+    """Times of ``cfg.repetitions`` factorizations of copies of ``template``,
+    the last factored copy and its flop count."""
     times = []
-    last = None
-    flops = 0.0
     for _ in range(cfg.repetitions):
         h = template.copy()
         plan = _plan_for(cfg, h, mode)
         t0 = time.perf_counter()
         hlu_factorize(plan)
         times.append(time.perf_counter() - t0)
-        flops = plan.flops.total
-        last = h
-    return times, last, flops
+    return times, h, plan.flops.total
 
 
-def run_bench(cfg: BenchConfig) -> BenchResult:
-    """Build the case, factorize per config, probe the residual."""
+def run_bench(cfg: BenchConfig) -> dict:
+    """Build the case, factorize per config, probe the residual.
+
+    Returns one JSON-ready row: the config's fields, then ``times`` (one per
+    repetition), their median ``time``, the median sequential time over it as
+    ``speedup`` (1.0 in seq mode), ``flops``, ``gflops`` at the fastest
+    repetition, the probe ``residual`` and the largest rank of a low-rank
+    leaf of the factors, ``peak_rank``.
+    """
     cfg.validate()
     template = build_case(cfg)
-    result = BenchResult(config=cfg)
     times, factored, counted = _timed_runs(cfg, template, cfg.mode)
-    result.times = times
+    median = statistics.median(times)
+    speedup = 1.0
     if cfg.mode == "par":
-        result.seq_times = _timed_runs(cfg, template, "seq")[0]
-    if cfg.case == "dense2x2":
-        result.flops = 2.0 * cfg.n**3 / 3.0
-    else:
-        result.flops = counted
-    result.residual = residual_probe(template, factored, cfg.seed)
+        speedup = statistics.median(_timed_runs(cfg, template, "seq")[0]) / median
+    flops = 2.0 * cfg.n**3 / 3.0 if cfg.case == "dense2x2" else counted
     ranks = [leaf.data.k for leaf in factored.leaves() if leaf.kind == LOWRANK]
-    result.peak_rank = max(ranks, default=0)
-    return result
-
-
-TABLE_COLUMNS = (
-    "case",
-    "n",
-    "eta_or_r",
-    "mode",
-    "workers",
-    "wd_er",
-    "time",
-    "gflops",
-    "speedup",
-    "residual",
-)
-
-
-def emit_csv(results):
-    lines = [",".join(TABLE_COLUMNS)]
-    for r in results:
-        row = r.row()
-        cells = []
-        for col in TABLE_COLUMNS:
-            v = row[col]
-            if isinstance(v, float):
-                cells.append("%.6g" % v)
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def emit_json(results):
-    return json.dumps([r.row() for r in results], indent=2, sort_keys=True) + "\n"
-
-
-def emit_text(results):
-    rows = [[str(c) for c in TABLE_COLUMNS]]
-    for r in results:
-        row = r.row()
-        rows.append(
-            ["%.4g" % row[c] if isinstance(row[c], float) else str(row[c]) for c in TABLE_COLUMNS]
-        )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(TABLE_COLUMNS))]
-    out = []
-    for row in rows:
-        out.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return "\n".join(out) + "\n"
+    return {
+        **asdict(cfg),
+        "times": times,
+        "time": median,
+        "speedup": speedup,
+        "flops": flops,
+        "gflops": flops / min(times) / 1e9,
+        "residual": residual_probe(template, factored, cfg.seed),
+        "peak_rank": max(ranks, default=0),
+    }

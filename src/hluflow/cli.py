@@ -5,8 +5,10 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical failure,
 """
 
 import argparse
+import json
 import os
 import sys
+from dataclasses import fields
 
 from .lowrank import pin_blas_threads
 
@@ -47,13 +49,12 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="hluflow", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("bench", help="time a factorization and report a table")
+    b = sub.add_parser("bench", help="time a factorization and print one JSON row")
     _case_flags(b)
     _runtime_flags(b)
     b.add_argument("--mode", choices=("seq", "par"), default="seq")
     b.add_argument("--repetitions", type=int, default=3)
-    b.add_argument("--output", default=None, help="write the table to this path")
-    b.add_argument("--format", choices=("csv", "json"), default="csv")
+    b.add_argument("--output", default=None, help="also write the row to this path")
     b.add_argument(
         "--dump-config", action="store_true", help="print the JSON config and exit"
     )
@@ -78,41 +79,27 @@ def build_parser():
 def _config_from_args(args):
     from .bench import BenchConfig
 
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    return BenchConfig(
-        case=args.case,
-        n=args.n,
-        r=args.r,
-        d=args.d,
-        eta=args.eta,
-        leafsize=args.leafsize,
-        order=args.order,
-        eps=args.eps,
-        kmax=args.kmax,
-        mode=getattr(args, "mode", "seq"),
-        workers=workers,
-        wd_er=getattr(args, "wd_er", True),
-        repetitions=getattr(args, "repetitions", 1),
-        seed=args.seed,
-    ).validate()
+    given = vars(args)
+    values = {f.name: given[f.name] for f in fields(BenchConfig) if f.name in given}
+    if values.get("workers") is None:
+        values["workers"] = int(os.environ.get(WORKERS_ENV, "1"))
+    return BenchConfig(**values).validate()
 
 
 def _cmd_bench(args):
-    from .bench import emit_csv, emit_json, emit_text, run_bench
+    from .bench import run_bench
 
     cfg = _config_from_args(args)
     if args.dump_config:
         print(cfg.to_json())
         return EXIT_OK
-    result = run_bench(cfg)
-    text = emit_json([result]) if args.format == "json" else emit_csv([result])
+    row = run_bench(cfg)
+    line = json.dumps(row) + "\n"
     if args.output:
         with open(args.output, "w") as f:
-            f.write(text)
-    sys.stdout.write(emit_text([result]))
-    if not (result.residual == result.residual):  # NaN guard
+            f.write(line)
+    sys.stdout.write(line)
+    if not (row["residual"] == row["residual"]):  # NaN guard
         print("residual is NaN", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
@@ -146,19 +133,17 @@ def _cmd_verify(args):
 
 
 def _cmd_assemble(args):
+    from .bench import build_case
     from .hmatrix import save_hmatrix, structure_dump
-    from .kernels import make_bem_case
 
     cfg = _config_from_args(args)
     if cfg.case != "bem":
         print("assemble expects --case bem", file=sys.stderr)
         return EXIT_CONFIG
-    case = make_bem_case(
-        cfg.d, cfg.n, cfg.eta, cfg.leafsize, cfg.order, cfg.eps, cfg.kmax
-    )
-    dump = structure_dump(case.hmatrix)
+    h = build_case(cfg)
+    dump = structure_dump(h)
     if args.output:
-        save_hmatrix(args.output, case.hmatrix)
+        save_hmatrix(args.output, h)
     if args.structure:
         with open(args.structure, "w") as f:
             f.write(dump)

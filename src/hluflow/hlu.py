@@ -427,7 +427,8 @@ def hlu_factorize(plan: HluPlan):
     """Factorize the plan's matrix in place.
 
     Sequential mode uses no runtime at all and returns None; parallel mode
-    runs the emitted task graph and returns its ExecutionTrace.
+    runs the emitted tasks and returns their TaskGraph: the tasks in id order
+    with their timings, and the edges their region chains enforced.
     """
     h = plan.matrix
     if h.rows != h.cols:

@@ -114,10 +114,6 @@ def add_truncated(x1: LowRank, x2: LowRank, ctl: TruncationControl) -> LowRank:
     """
     if x1.shape != x2.shape:
         raise ValueError(f"shape mismatch: {x1.shape} vs {x2.shape}")
-    if x2.k == 0:
-        return x1
-    if x1.k == 0:
-        return x2
     m, n = x1.shape
     if x1.k + x2.k >= min(m, n) / 2:
         return compress_dense(x1.value() + x2.value(), ctl)

@@ -193,7 +193,8 @@ class Edge:
 
 
 class TaskGraph:
-    """Static view of submitted tasks with the edges their chains record."""
+    """The tasks of one runtime in id order, the edges their chains record and,
+    once the runtime has executed them, each task's timings."""
 
     def __init__(self, tasks):
         self.tasks = list(tasks)
@@ -233,23 +234,8 @@ class TaskGraph:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-
-class ExecutionTrace:
-    """Per-task timing records of one runtime execution."""
-
-    def __init__(self, tasks):
-        self.tasks = sorted(tasks, key=lambda t: t.id)
-        self._by_label = None
-
-    def find(self, label):
-        if self._by_label is None:
-            self._by_label = {}
-            for t in self.tasks:
-                self._by_label.setdefault(t.label, []).append(t)
-        return self._by_label.get(label, [])
-
     def find_one(self, label):
-        hits = self.find(label)
+        hits = [t for t in self.tasks if t.label == label]
         if len(hits) != 1:
             raise KeyError(f"{len(hits)} tasks labeled {label!r}")
         return hits[0]
@@ -263,6 +249,8 @@ class ExecutionTrace:
         return max(ends) - min(starts)
 
     def to_csv(self):
+        """One row of timings per task; empty cells for what did not happen."""
+
         def fmt(v):
             return "" if v is None else "%.9f" % v
 
@@ -328,7 +316,6 @@ class Runtime:
     def submit(self, regions, body, label="task", spawns=False, cost=None):
         """Register a task; returns it.  Called from inside a running body it
         submits a child of that body's task."""
-        regions = [r if isinstance(r, Region) else Region(*r) for r in regions]
         with self._lock:
             parent = self.current_task()
             task = Task(len(self.tasks), label, parent, regions, body, spawns, cost)
@@ -446,15 +433,13 @@ class Runtime:
         if task.pending == 0:
             self._became_ready(task)
 
+    def _may_release(self, task, open_nodes):
+        """Early release: the body is done and no child access under the node
+        is open.  The taskwait model also holds it until the subtree is done."""
+        return task.body_done and open_nodes == 0 and (self.wd_er or task.deep_done)
+
     def _try_writes_done(self, node):
-        if node.writes_done:
-            return
-        task = node.task
-        if self.wd_er:
-            ok = task.body_done and node.open_writers == 0
-        else:
-            ok = task.deep_done
-        if not ok:
+        if node.writes_done or not self._may_release(node.task, node.open_writers):
             return
         node.writes_done = True
         parent = node.chain.parent
@@ -466,14 +451,7 @@ class Runtime:
             self._advance_sat(node.chain)
 
     def _try_release(self, node):
-        if node.released:
-            return
-        task = node.task
-        if self.wd_er:
-            ok = task.body_done and node.open_children == 0
-        else:
-            ok = task.deep_done
-        if not ok:
+        if node.released or not self._may_release(node.task, node.open_children):
             return
         if not node.writes_done:
             self._try_writes_done(node)
@@ -536,21 +514,23 @@ class Runtime:
         task.body_end_t = self._now()
         self._release_slots(task)
         if self.wd_er:
-            for nodes in task.nodes:
-                for node in nodes:
-                    self._try_writes_done(node)
-                    self._try_release(node)
+            self._release_nodes(task)
         if task.open_child_tasks == 0:
             self._deep_finished(task)
+
+    def _release_nodes(self, task):
+        """One pass over the task's nodes: once its body is done under early
+        release, once its subtree is done under the taskwait model."""
+        for nodes in task.nodes:
+            for node in nodes:
+                self._try_writes_done(node)
+                self._try_release(node)
 
     def _deep_finished(self, task):
         task.deep_done = True
         task.end_t = self._now()
         if not self.wd_er:
-            for nodes in task.nodes:
-                for node in nodes:
-                    self._try_writes_done(node)
-                    self._try_release(node)
+            self._release_nodes(task)
         self._unfinished -= 1
         parent = task.parent
         if parent is not None:
@@ -572,7 +552,7 @@ class Runtime:
     # -- threaded execution --------------------------------------------------------
 
     def run(self):
-        """Execute all submitted tasks; returns the ExecutionTrace."""
+        """Execute all submitted tasks; returns their TaskGraph with timings."""
         if self.collect:
             raise RuntimeError("collect-mode runtime cannot execute")
         with self._lock:
@@ -580,7 +560,7 @@ class Runtime:
                 raise RuntimeError("runtime already ran")
             self._running = True
             if self._unfinished == 0:
-                return ExecutionTrace(self.tasks)
+                return self.task_graph()
         threads = [
             threading.Thread(target=self._worker_loop, args=(w,), daemon=True)
             for w in range(self.workers)
@@ -593,7 +573,7 @@ class Runtime:
             raise self._error
         if self._deadlock is not None:
             raise DeadlockError("no runnable task but work remains", self._deadlock)
-        return ExecutionTrace(self.tasks)
+        return self.task_graph()
 
     def _steal(self, wid, rng):
         victims = [w for w in range(self.workers) if w != wid]
@@ -728,7 +708,7 @@ class Runtime:
             raise DeadlockError(
                 "no runnable task but work remains", self._deadlock_report()
             )
-        return ExecutionTrace(self.tasks)
+        return self.task_graph()
 
     # -- graph --------------------------------------------------------------------
 

@@ -201,8 +201,7 @@ def test_criterion_5_weak_dependency_early_release_behavior():
 
 def _median_speedup(cfg_par, reps=5):
     cfg_par.repetitions = reps
-    res = run_bench(cfg_par)
-    return res.speedup
+    return run_bench(cfg_par)["speedup"]
 
 
 def test_criterion_6_scalability_ordering():
@@ -222,7 +221,7 @@ def test_criterion_6_scalability_ordering():
         cfg = BenchConfig(
             case="dense2x2", n=4096, r=5, mode="par", workers=4, repetitions=1
         )
-        speedup = run_bench(cfg).speedup
+        speedup = run_bench(cfg)["speedup"]
         pytest.skip(
             f"criterion 6 requires >=4 cores (host has {HOST_CORES}); "
             f"dense2x2 n=4096 r=5 measured speedup {speedup:.2f} at 4 workers"

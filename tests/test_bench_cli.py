@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -8,15 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hluflow.bench import (
-    BenchConfig,
-    TABLE_COLUMNS,
-    build_case,
-    emit_csv,
-    emit_json,
-    emit_text,
-    run_bench,
-)
+from dataclasses import fields
+
+from hluflow.bench import BenchConfig, build_case, run_bench
 from hluflow.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -52,60 +47,56 @@ class TestBenchConfig:
             BenchConfig(mode="hybrid").validate()
 
 
+MEASURES = ("times", "time", "speedup", "flops", "gflops", "residual", "peak_rank")
+
+
 class TestRunBench:
     def test_dense_seq(self):
         cfg = BenchConfig(case="dense2x2", n=256, r=3, mode="seq", repetitions=2)
         res = run_bench(cfg)
-        assert res.residual <= 1e-11
-        assert res.gflops > 0
-        assert res.speedup == 1.0
-        assert res.flops == 2 * 256**3 / 3
-        assert len(res.times) == 2
-        assert res.peak_rank == 0
+        assert res["residual"] <= 1e-11
+        assert res["gflops"] > 0
+        assert res["speedup"] == 1.0
+        assert res["flops"] == 2 * 256**3 / 3
+        assert len(res["times"]) == 2
+        assert res["time"] == statistics.median(res["times"])
+        assert res["peak_rank"] == 0
 
     def test_dense_par_speedup_field(self):
         cfg = BenchConfig(
             case="dense2x2", n=256, r=3, mode="par", workers=2, repetitions=2
         )
         res = run_bench(cfg)
-        assert res.seq_times and res.speedup > 0
-        assert math.isfinite(res.residual)
+        assert res["speedup"] > 0
+        assert math.isfinite(res["residual"])
 
     def test_bem_counts_effective_flops(self):
         cfg = BenchConfig(
             case="bem", n=512, d=1, eta=0.5, leafsize=64, mode="seq", repetitions=1
         )
         res = run_bench(cfg)
-        assert res.flops > 0
-        assert res.peak_rank >= 1
-        assert res.residual <= 1e-4
+        assert res["flops"] > 0
+        assert res["peak_rank"] >= 1
+        assert res["residual"] <= 1e-4
 
     def test_residual_never_nan_on_success(self):
         cfg = BenchConfig(case="bem", n=256, leafsize=32, repetitions=1)
         res = run_bench(cfg)
-        assert math.isfinite(res.residual)
+        assert math.isfinite(res["residual"])
 
 
 class TestTables:
-    def make_result(self):
-        cfg = BenchConfig(case="dense2x2", n=128, r=2, repetitions=1)
-        return run_bench(cfg)
-
-    def test_csv_header_stable(self):
-        res = self.make_result()
-        text = emit_csv([res])
-        header = text.split("\n", 1)[0]
-        assert header == "case,n,eta_or_r,mode,workers,wd_er,time,gflops,speedup,residual"
-        assert len(text.strip().split("\n")) == 2
+    """The bench table is one JSON row: the config's fields, then the measures."""
 
     def test_json_rows_match_columns(self):
-        res = self.make_result()
-        rows = json.loads(emit_json([res]))
-        assert set(rows[0]) == set(TABLE_COLUMNS)
+        cfg = BenchConfig(case="dense2x2", n=128, r=2, mode="par", workers=2, repetitions=1)
+        row = json.loads(json.dumps(run_bench(cfg)))
+        names = [f.name for f in fields(BenchConfig)]
+        assert list(row) == names + list(MEASURES)
+        assert BenchConfig(**{name: row[name] for name in names}) == cfg
 
     def test_single_seq_row_speedup_one(self):
-        res = self.make_result()
-        row = json.loads(emit_json([res]))[0]
+        row = run_bench(BenchConfig(case="dense2x2", n=128, r=2, repetitions=1))
         assert row["speedup"] == 1.0
 
     def test_deterministic_rerun_non_timing_columns(self):
@@ -114,22 +105,14 @@ class TestTables:
         ).to_json()
         rows = []
         for _ in range(2):
-            cfg = BenchConfig.from_json(cfg_text)
-            row = run_bench(cfg).row()
-            rows.append({k: row[k] for k in TABLE_COLUMNS if k not in ("time", "gflops", "speedup")})
+            row = run_bench(BenchConfig.from_json(cfg_text))
+            rows.append({k: v for k, v in row.items() if k not in ("times", "time", "gflops", "speedup")})
         assert rows[0] == rows[1]
-
-    def test_text_table_aligned(self):
-        res = self.make_result()
-        text = emit_text([res])
-        lines = text.rstrip("\n").split("\n")
-        assert len(lines) == 2
-        assert len(lines[0]) == len(lines[1])
 
 
 class TestCli:
     def test_bench_exit_ok(self, tmp_path, capsys):
-        out = tmp_path / "t.csv"
+        out = tmp_path / "row.json"
         code = main(
             [
                 "bench", "--case", "dense2x2", "--n", "128", "--r", "2",
@@ -137,7 +120,19 @@ class TestCli:
             ]
         )
         assert code == EXIT_OK
-        assert out.read_text().startswith("case,")
+        printed = capsys.readouterr().out
+        assert out.read_text() == printed and printed.count("\n") == 1
+        row = json.loads(printed)
+        assert row["case"] == "dense2x2" and row["n"] == 128
+        assert math.isfinite(row["residual"])
+
+    def test_bench_has_no_format_option(self, capsys):
+        assert main(["bench", "--format", "csv", "--dump-config"]) == EXIT_CONFIG
+
+    def test_bench_nan_residual_exit(self, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "run_bench", lambda cfg: {"residual": float("nan")})
+        assert main(["bench", "--case", "dense2x2", "--n", "64", "--r", "2"]) == EXIT_NUMERICAL
+        assert math.isnan(json.loads(capsys.readouterr().out)["residual"])
 
     def test_dump_config_round_trip(self, capsys):
         code = main(

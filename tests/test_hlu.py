@@ -1,5 +1,6 @@
 import re
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -500,6 +501,32 @@ class TestTaskEmission:
         )
         assert trace is not None
         assert np.array_equal(flatten(h_par), flatten(h_seq))
+
+    @pytest.mark.parametrize("wd_er", [True, False], ids=["wd_er", "taskwait"])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("case", ["dense2x2", "bem1d"])
+    def test_executed_graph_is_exported_graph(self, case, workers, wd_er):
+        # a run executes the tasks and edges that graph-export writes; as in
+        # the command, the graph is emitted from the matrix that is factorized
+        if case == "dense2x2":
+            h = dense2x2_matrix(256, 3)
+        else:
+            h = make_bem_case(1, 512, eta=0.5, leafsize=32, eps=1e-6).hmatrix
+
+        def shape(graph):
+            tasks = Counter(t.label for t in graph.tasks)
+            edges = Counter((e.src.label, e.dst.label, e.weak) for e in graph.edges)
+            return tasks, edges
+
+        def plan():
+            return make_plan(
+                h, TruncationControl(1e-6), mode="parallel", workers=workers, wd_er=wd_er
+            )
+
+        exported = emit_task_graph(plan())
+        executed = hlu_factorize(plan())
+        assert len(executed.tasks) > 1
+        assert shape(executed) == shape(exported)
 
 
 class TestParallelEquivalence:

@@ -103,10 +103,19 @@ def spectral(a):
 
 class TestAddTruncated:
     def test_add_zero(self, rng):
+        # a rank-0 operand is truncated like any other, so the contract holds
         x = random_lowrank(rng, 8, 7, 3)
         z = LowRank.zeros(8, 7)
         got = add_truncated(x, z, TruncationControl(1e-12))
-        assert np.array_equal(got.value(), x.value())
+        assert got.k <= 3
+        assert spectral(got.value() - x.value()) <= 1e-12 * spectral(x.value())
+
+    @pytest.mark.parametrize("zero_first", [True, False], ids=["zero+x", "x+zero"])
+    def test_kmax_binds_with_rank_zero_operand(self, rng, zero_first):
+        x = random_lowrank(rng, 40, 30, 5)
+        z = LowRank.zeros(40, 30)
+        pair = (z, x) if zero_first else (x, z)
+        assert add_truncated(*pair, TruncationControl(1e-8, kmax=2)).k == 2
 
     def test_parallel_outer_products(self, rng):
         a = rng.standard_normal((8, 1))
