@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical failure,
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -94,13 +95,16 @@ def _cmd_bench(args):
         print(cfg.to_json())
         return EXIT_OK
     row = run_bench(cfg)
-    line = json.dumps(row) + "\n"
+    finite = math.isfinite(row["residual"])
+    if not finite:
+        row["residual"] = None  # strict JSON has no NaN or Infinity
+    line = json.dumps(row, allow_nan=False) + "\n"
     if args.output:
         with open(args.output, "w") as f:
             f.write(line)
     sys.stdout.write(line)
-    if not (row["residual"] == row["residual"]):  # NaN guard
-        print("residual is NaN", file=sys.stderr)
+    if not finite:
+        print("residual is not finite", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

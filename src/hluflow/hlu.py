@@ -12,9 +12,9 @@ runtime rediscovers the dependency structure of the recursion.  Below a
 granularity cutoff (see ``_Emit``) a whole recursion level runs inline inside
 one strong task, as OpenMP's ``final`` clause would.
 
-A low-rank destination accumulates its updates exactly, concatenating factors
-in a fixed source order, and is truncated once, just before its triangular
-solve; parallel runs reproduce the sequential result bit for bit.
+Products are exact; a low-rank destination sums its updates in a fixed source
+order and is truncated only by its flush, just before its triangular solve, or
+at the half-block bound; parallel runs match the sequential result bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .lowrank import (
     LowRank,
     TruncationControl,
     add_truncated,
-    compress_dense,
+    compress_dense,  # unused here; perfbench's traced run wraps hlu.compress_dense by name
     gemm_update,
     lu_nopivot,
     recompress,
@@ -150,8 +150,8 @@ def _product_grid(a, b, c=None):
             yield i, j, rr, cc, pairs
 
 
-def _multiply_lowrank(a, b, ctl: TruncationControl) -> LowRank:
-    """Low-rank approximation of the product a @ b of two H-operands."""
+def _multiply_lowrank(a, b) -> LowRank:
+    """The exact product a @ b of two H-operands; its factors may share the operands' memory."""
     if a.kind == LOWRANK:
         fa = a.data
         # b.T @ fa.b, written as (fa.b.T @ b).T
@@ -160,15 +160,14 @@ def _multiply_lowrank(a, b, ctl: TruncationControl) -> LowRank:
         fb = b.data
         return LowRank(_times(a, fb.a), fb.b)
     if a.kind == DENSE and b.kind == DENSE:
-        return compress_dense(a.data @ b.data, ctl)
-    # every product of every cell, concatenated and truncated once
-    parts = [(rr, cc, _multiply_lowrank(ap, bp, ctl))
+        return LowRank(a.data, b.data.T)
+    parts = [(rr, cc, _multiply_lowrank(ap, bp))
              for _, _, rr, cc, pairs in _product_grid(a, b) for ap, bp in pairs]
-    return parts[0][2] if len(parts) == 1 else _merge_lowrank(parts, ctl)
+    return parts[0][2] if len(parts) == 1 else _merge_lowrank(parts)
 
 
-def _merge_lowrank(parts, ctl):
-    """One recompressed LowRank from (rows, cols, LowRank) parts of a grid, any per cell."""
+def _merge_lowrank(parts):
+    """One exact LowRank from (rows, cols, LowRank) parts of a grid, any per cell, zero-padded."""
     r0, c0 = parts[0][0][0], parts[0][1][0]
     k_total = sum(p.k for _, _, p in parts)
     u = np.zeros((parts[-1][0][1] - r0, k_total))
@@ -178,7 +177,7 @@ def _merge_lowrank(parts, ctl):
         u[rr[0] - r0 : rr[1] - r0, off : off + p.k] = p.a
         v[cc[0] - c0 : cc[1] - c0, off : off + p.k] = p.b
         off += p.k
-    return recompress(LowRank(u, v), ctl)
+    return LowRank(u, v)
 
 
 # -- executors --------------------------------------------------------------------
@@ -345,16 +344,17 @@ def _update(ex, c, a, b, ctl, flops):
 
     if c.kind == LOWRANK:
         # low-rank destination: append the product to the exact sum, or truncate a sum
-        # that would reach half the block size now (dense, a bounded batch)
+        # that would reach half the block size now (dense); a dense pair forms no product
         def body():
-            p, d = _multiply_lowrank(a, b, ctl), c.data
+            p, d = _multiply_lowrank(a, b), c.data
             (m, n), inner = p.shape, a.col_range[1] - a.col_range[0]
             if d.k + p.k >= min(m, n) / 2:
                 c.data = add_truncated(d, p.neg(), ctl)
                 flops.add(2 * m * n * (d.k + p.k) + 22 * min(m, n) ** 3)
             elif p.k:
                 c.data = _Sum(np.hstack((d.a, -p.a)), np.hstack((d.b, p.b)))
-            flops.add(2 * p.k * inner * (n if a.kind == LOWRANK else m))  # rank k, dense other side
+            formed = 0 if a.kind == b.kind == DENSE else p.k * (n if a.kind == LOWRANK else m)
+            flops.add(2 * formed * inner)
 
         ex.leaf(label, specs, body)
         return

@@ -109,8 +109,8 @@ def add_truncated(x1: LowRank, x2: LowRank, ctl: TruncationControl) -> LowRank:
     The concatenated factors represent the exact sum with rank k1 + k2; the
     result keeps only singular values above eps * sigma_1 (and at most
     ``kmax``), so the error is bounded by eps times the spectral norm of the
-    exact sum.  When the combined rank approaches the block size the sum is
-    formed densely and recompressed instead.
+    exact sum.  When the combined rank reaches half the smaller block
+    dimension the sum is formed densely and compressed by one SVD instead.
     """
     if x1.shape != x2.shape:
         raise ValueError(f"shape mismatch: {x1.shape} vs {x2.shape}")

@@ -129,10 +129,13 @@ class TestCli:
     def test_bench_has_no_format_option(self, capsys):
         assert main(["bench", "--format", "csv", "--dump-config"]) == EXIT_CONFIG
 
-    def test_bench_nan_residual_exit(self, monkeypatch, capsys):
-        monkeypatch.setattr(bench, "run_bench", lambda cfg: {"residual": float("nan")})
+    @pytest.mark.parametrize("residual", [float("nan"), float("inf"), -float("inf")])
+    def test_bench_nan_residual_exit(self, monkeypatch, capsys, residual):
+        # a non-finite residual is written as strict JSON null and fails the run
+        monkeypatch.setattr(bench, "run_bench", lambda cfg: {"residual": residual})
         assert main(["bench", "--case", "dense2x2", "--n", "64", "--r", "2"]) == EXIT_NUMERICAL
-        assert math.isnan(json.loads(capsys.readouterr().out)["residual"])
+        out = capsys.readouterr().out
+        assert json.loads(out, parse_constant=lambda token: pytest.fail(token))["residual"] is None
 
     def test_dump_config_round_trip(self, capsys):
         code = main(

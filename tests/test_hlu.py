@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 from graphgen import oracle_edges
-from hluflow.blocks import ADMISSIBLE, BlockNode, build_block_tree, build_diagonal_2x2_tree
+from hluflow.blocks import (
+    ADMISSIBLE,
+    INADMISSIBLE,
+    BlockNode,
+    build_block_tree,
+    build_diagonal_2x2_tree,
+)
 from hluflow.clustering import build_cluster_tree
 from hluflow.hmatrix import (
+    DENSE,
     LOWRANK,
     HMatrix,
     StructureError,
@@ -334,11 +341,11 @@ class TestAccumulatedUpdates:
 
         multiply = hlu_module._multiply_lowrank
 
-        def multiply_counted(a, b, ctl):
+        def multiply_counted(a, b):
             counts["bodies"] += depth[0] == 0
             depth[0] += 1
             try:
-                return multiply(a, b, ctl)
+                return multiply(a, b)
             finally:
                 depth[0] -= 1
 
@@ -377,6 +384,78 @@ class TestAccumulatedUpdates:
             monkeypatch.setattr(hlu_module, name, seen(getattr(hlu_module, name)))
         hlu_factorize(make_plan(h, TruncationControl(1e-6, kmax), mode=mode, workers=workers))
         assert excess and max(excess) <= 0
+
+
+def graded(shape, seed):
+    """Random columns scaled from 1 down to 1e-14, so a truncated product loses digits."""
+    return np.random.default_rng(seed).standard_normal(shape) * np.logspace(0, -14, shape[1])
+
+
+def dense_leaf(block, seed):
+    """A one-leaf H-matrix holding a graded dense block over ``block``'s clusters."""
+    leaf = BlockNode(block.row, block.col, INADMISSIBLE)
+    return HMatrix(leaf, DENSE, graded((block.rows, block.cols), seed))
+
+
+def graded_mixed(n, seed):
+    """``mixed_matrix`` with every dense leaf replaced by a graded one."""
+    h = mixed_matrix(n, leafsize=16, eta=0.5, seed=seed)
+    for leaf in h.leaves():
+        if leaf.kind == DENSE:
+            leaf.data = graded(leaf.data.shape, seed)
+    return h
+
+
+def payloads(h):
+    """Every array an H-matrix's leaves hold."""
+    for leaf in h.leaves():
+        yield from (leaf.data,) if leaf.kind == DENSE else (leaf.data.a, leaf.data.b)
+
+
+class TestExactProducts:
+    """Products are exact; a low-rank leaf is truncated only by its flush or at the half-block bound."""
+
+    @pytest.mark.parametrize(
+        "kind_a, kind_b",
+        [("lowrank", "dense"), ("dense", "lowrank"), ("dense", "dense"), ("partitioned", "partitioned")],
+    )
+    def test_multiply_lowrank_is_exact(self, kind_a, kind_b):
+        from hluflow.hlu import _multiply_lowrank
+
+        block = mixed_matrix(64, leafsize=16, eta=0.5, seed=30).block
+        make = {
+            "lowrank": lambda seed: lowrank_leaf(block, 3, seed),
+            "dense": lambda seed: dense_leaf(block, seed),
+            "partitioned": lambda seed: graded_mixed(64, seed),
+        }
+        a, b = make[kind_a](31), make[kind_b](32)
+        want = flatten(a) @ flatten(b)
+        got = _multiply_lowrank(a, b).value()
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+        c = lowrank_leaf(block, 2, seed=33)
+        update_hmatrix(c, a, b, TruncationControl(1e-10))
+        for x in (c.data.a, c.data.b):
+            assert not any(np.shares_memory(x, y) for y in (*payloads(a), *payloads(b)))
+
+    def test_factorization_compresses_no_dense_product(self, monkeypatch):
+        # dense x dense products reach a low-rank leaf's sum exact: no SVD of a product
+        import hluflow.hlu as hlu_module
+
+        calls = []
+        compress_dense = hlu_module.compress_dense
+
+        def counted(d, ctl):
+            calls.append(d.shape)
+            return compress_dense(d, ctl)
+
+        monkeypatch.setattr(hlu_module, "compress_dense", counted)
+        case = make_bem_case(2, 256, eta=0.5, leafsize=16, eps=1e-6)
+        h_seq, h_par = case.hmatrix.copy(), case.hmatrix.copy()
+        hlu_factorize(make_plan(h_seq, TruncationControl(1e-6)))
+        hlu_factorize(make_plan(h_par, TruncationControl(1e-6), mode="parallel", workers=2))
+        assert calls == []
+        assert np.array_equal(flatten(h_par), flatten(h_seq))
 
 
 class TestTaskEmission:
