@@ -37,9 +37,6 @@ from .hlu import (
     hlu_factorize,
     lower_unit_matvec,
     make_plan,
-    solve_lower_hmatrix,
-    solve_upper_hmatrix,
-    update_hmatrix,
     upper_matvec,
 )
 from .runtime import (

@@ -69,10 +69,6 @@ class BenchConfig:
     def to_json(self):
         return json.dumps(asdict(self), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text)).validate()
-
 
 def build_case(cfg: BenchConfig):
     """Assembled H-matrix for a configuration (freshly filled each call)."""

@@ -33,14 +33,6 @@ class BlockNode:
         return self.kind != PARTITIONED
 
     @property
-    def rsons(self):
-        return len(self.sons)
-
-    @property
-    def csons(self):
-        return len(self.sons[0]) if self.sons else 0
-
-    @property
     def rows(self):
         return self.row.size
 

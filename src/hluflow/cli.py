@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical failure,
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import fields
 
@@ -17,8 +16,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_DEADLOCK = 4
-
-WORKERS_ENV = "HLUFLOW_WORKERS"
 
 
 def _case_flags(p):
@@ -40,7 +37,7 @@ def _case_flags(p):
 
 
 def _runtime_flags(p):
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     wd = p.add_mutually_exclusive_group()
     wd.add_argument("--wd-er", dest="wd_er", action="store_true", default=True)
     wd.add_argument("--no-wd-er", dest="wd_er", action="store_false")
@@ -82,8 +79,6 @@ def _config_from_args(args):
 
     given = vars(args)
     values = {f.name: given[f.name] for f in fields(BenchConfig) if f.name in given}
-    if values.get("workers") is None:
-        values["workers"] = int(os.environ.get(WORKERS_ENV, "1"))
     return BenchConfig(**values).validate()
 
 

@@ -223,7 +223,7 @@ class _Emit:
         return out
 
     def leaf(self, label, specs, body):
-        self.rt.submit(self._regions(specs, weak=False), body, label=label)
+        self.rt.submit(self._regions(specs, weak=False), body, label=_lbl(*label))
 
     def parent(self, label, specs, spawn):
         if all(_extent(obj) <= self.grain for obj, _ in specs):
@@ -232,13 +232,20 @@ class _Emit:
         self.rt.submit(
             self._regions(specs, weak=self.weak_parents),
             lambda: spawn(self),
-            label=label,
+            label=_lbl(*label),
             spawns=True,
         )
 
 
-def _lbl(kind, rows, cols):
-    return f"{kind}[{rows[0]}:{rows[1]})x[{cols[0]}:{cols[1]})"
+def _lbl(kind, x, y=None):
+    """A task's label: its kind and x's row and column ranges, then y's after ``<-``.
+
+    Executors take the ``(kind, x)`` or ``(kind, x, y)`` tuple; only ``_Emit``
+    formats it, for the tasks it creates.
+    """
+    (r0, r1), (c0, c1) = x.row_range, x.col_range
+    label = f"{kind}[{r0}:{r1})x[{c0}:{c1})"
+    return label if y is None else label + _lbl("<-", y)
 
 
 # -- triangular solves ---------------------------------------------------------------
@@ -278,7 +285,7 @@ def _solve(ex, f, b, right, ctl, flops):
     place.  A partitioned ``b`` is visited transposed on the right, so both
     sides run one block-row elimination.  A whole low-rank leaf is flushed first.
     """
-    label = _lbl("rsolve" if right else "lsolve", b.row_range, b.col_range)
+    label = ("rsolve" if right else "lsolve", b)
     if f.kind == DENSE:
         if b.kind == PARTITIONED:
             raise StructureError("dense factor against partitioned right-hand side")
@@ -322,12 +329,7 @@ def _solve(ex, f, b, right, ctl, flops):
                     _matvec_into(fip, src, dst, right=right, acc=gemm_update)
                     flops.add(2 * dst.shape[0] * dst.shape[1] * src.shape[1 if right else 0])
 
-                ex.leaf(
-                    _lbl("update", bi.row_range, bi.col_range)
-                    + _lbl("<-", fip.row_range, fip.col_range),
-                    [(fip, "r"), (b, "rw")],
-                    body,
-                )
+                ex.leaf(("update", bi, fip), [(fip, "r"), (b, "rw")], body)
             _solve(ex, f.child(i, i), bi, right, ctl, flops)
 
     ex.parent(label, [(b, "rw"), (f, "r")] if right else [(f, "r"), (b, "rw")], spawn)
@@ -339,7 +341,7 @@ def _solve(ex, f, b, right, ctl, flops):
 def _update(ex, c, a, b, ctl, flops):
     """c := c - a @ b in H-arithmetic; c may be a node or a dense window."""
     c_part = c.kind == PARTITIONED
-    label = _lbl("update", c.row_range, c.col_range) + _lbl("<-", a.row_range, a.col_range)
+    label = ("update", c, a)
     specs = [(c, "rw"), (a, "r"), (b, "r")]
 
     if c.kind == LOWRANK:
@@ -392,24 +394,24 @@ def _update(ex, c, a, b, ctl, flops):
 
 
 def _factor(ex, h, ctl, flops):
-    label = _lbl("lu", h.row_range, h.col_range)
+    label = ("lu", h)
     if h.kind == DENSE:
         if h.rows != h.cols:
-            raise StructureError(f"LU requires a square block, got {label}")
+            raise StructureError(f"LU requires a square block, got {_lbl('lu', h)}")
 
         def body():
-            lu_nopivot(h.data, block_path=label)
+            lu_nopivot(h.data, block_path=_lbl("lu", h))
             flops.add(2 * h.rows**3 // 3)
 
         ex.leaf(label, [(h, "rw")], body)
         return
     if h.kind == LOWRANK:
-        raise StructureError(f"diagonal block {label} is low-rank; expected dense")
+        raise StructureError(f"diagonal block {_lbl('lu', h)} is low-rank; expected dense")
 
     def spawn(ex):
         nb = len(h.data)
         if nb != len(h.data[0]):
-            raise StructureError(f"LU requires a square grid at {label}")
+            raise StructureError(f"LU requires a square grid at {_lbl('lu', h)}")
         for k in range(nb):
             _factor(ex, h.child(k, k), ctl, flops)
             for j in range(k + 1, nb):
@@ -453,41 +455,6 @@ def emit_task_graph(plan: HluPlan):
     )
     _factor(_Emit(rt, plan), plan.matrix, plan.truncation, plan.flops)
     return rt.task_graph()
-
-
-def _run_op(op, root, operands, ctl, runtime, skeleton):
-    """Run one block operation on ``root``, inline or as tasks on ``runtime``.
-
-    Returns the flop count of the kernels the call itself ran: all of them
-    inline, none when it only emits tasks (they count when they execute).
-    """
-    if runtime is not None and skeleton is None:
-        raise ValueError("emitting tasks requires the skeleton of the enclosing matrix")
-    plan = HluPlan(root, skeleton, ctl if ctl is not None else TruncationControl())
-    ex = _Inline() if runtime is None else _Emit(runtime, plan)
-    op(ex, *operands, plan.truncation, plan.flops)
-    return plan.flops.total
-
-
-def solve_lower_hmatrix(l, b, ctl=None, runtime=None, skeleton=None):
-    """b := l^-1 b; emits tasks when a runtime is given, else runs inline."""
-    return _run_op(_solve, b, (l, b, False), ctl, runtime, skeleton)
-
-
-def solve_upper_hmatrix(b, u, ctl=None, runtime=None, skeleton=None):
-    """b := b u^-1; emits tasks when a runtime is given, else runs inline."""
-    return _run_op(_solve, b, (u, b, True), ctl, runtime, skeleton)
-
-
-def update_hmatrix(c, a, b, ctl=None, runtime=None, skeleton=None):
-    """c := c - a @ b, leaves truncated; emits tasks when a runtime is given, else runs inline."""
-    def op(ex, c, a, b, ctl, flops):
-        _update(ex, c, a, b, ctl, flops)
-        for x in (x for x in c.leaves() if x.kind == LOWRANK):
-            label = _lbl("update", x.row_range, x.col_range)
-            ex.leaf(label, [(x, "rw")], lambda x=x: _flush(x, ctl, flops))
-
-    return _run_op(op, c, (c, a, b), ctl, runtime, skeleton)
 
 
 # -- triangular matvec on the factored matrix ----------------------------------------

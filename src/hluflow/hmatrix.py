@@ -15,7 +15,6 @@ through the one walker ``_matvec_into``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 import numpy as np
@@ -131,33 +130,19 @@ class Skeleton:
     equal, nested or disjoint.
     """
 
-    def __init__(self, size, ranges, leaf_order):
+    def __init__(self, size, ranges):
         self.size = size
         self.ranges = ranges
-        self.leaf_order = leaf_order
-
-    def fingerprint(self):
-        h = hashlib.sha256(str(self.size).encode())
-        for block in self.leaf_order:
-            lo, hi = self.ranges[block]
-            h.update(b"%d:%d;" % (lo, hi))
-        for block, (lo, hi) in sorted(
-            self.ranges.items(), key=lambda kv: (kv[1], kv[0].row_range, kv[0].col_range)
-        ):
-            h.update(b"%d,%d|" % (lo, hi))
-        return h.hexdigest()
 
 
 def build_skeleton(h) -> Skeleton:
     """Enumerate leaves depth-first row-major and record per-node intervals."""
     root = h.block if isinstance(h, HMatrix) else h
     ranges = {}
-    leaf_order = []
 
     def visit(b, lo):
         if b.kind != PARTITIONED:
             ranges[b] = (lo, lo + 1)
-            leaf_order.append(b)
             return lo + 1
         hi = lo
         for row in b.sons:
@@ -167,7 +152,7 @@ def build_skeleton(h) -> Skeleton:
         return hi
 
     size = visit(root, 0)
-    return Skeleton(size, ranges, leaf_order)
+    return Skeleton(size, ranges)
 
 
 def hmatvec(h: HMatrix, x):

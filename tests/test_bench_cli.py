@@ -16,7 +16,6 @@ from hluflow.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
-    WORKERS_ENV,
     build_parser,
     main,
 )
@@ -33,7 +32,7 @@ class TestBenchConfig:
             case="bem", n=256, d=2, eta=0.25, leafsize=32, eps=1e-8,
             mode="par", workers=3, wd_er=False, repetitions=2, seed=9,
         )
-        again = BenchConfig.from_json(cfg.to_json())
+        again = BenchConfig(**json.loads(cfg.to_json())).validate()
         assert again == cfg
 
     def test_validation(self):
@@ -105,7 +104,7 @@ class TestTables:
         ).to_json()
         rows = []
         for _ in range(2):
-            row = run_bench(BenchConfig.from_json(cfg_text))
+            row = run_bench(BenchConfig(**json.loads(cfg_text)).validate())
             rows.append({k: v for k, v in row.items() if k not in ("times", "time", "gflops", "speedup")})
         assert rows[0] == rows[1]
 
@@ -147,7 +146,7 @@ class TestCli:
             ]
         )
         assert code == EXIT_OK
-        cfg = BenchConfig.from_json(capsys.readouterr().out.strip())
+        cfg = BenchConfig(**json.loads(capsys.readouterr().out)).validate()
         assert cfg == BenchConfig(
             case="bem", n=256, d=2, eta=0.25, leafsize=32, order=3, eps=1e-7,
             mode="par", workers=2, wd_er=False, repetitions=4, seed=5,
@@ -241,16 +240,6 @@ class TestCli:
         assert code == EXIT_NUMERICAL
         assert "lu[0:32)x[0:32)" in capsys.readouterr().err
 
-    def test_workers_env_override(self, monkeypatch, capsys):
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        code = main(
-            ["bench", "--case", "dense2x2", "--n", "64", "--r", "2",
-             "--mode", "par", "--repetitions", "1", "--dump-config"]
-        )
-        assert code == EXIT_OK
-        cfg = BenchConfig.from_json(capsys.readouterr().out.strip())
-        assert cfg.workers == 3
-
     @pytest.mark.skipif(BLAS_LIBRARY == "scipy", reason="numpy ships no OpenBLAS here")
     @pytest.mark.parametrize("user", [None, "2"], ids=["unset", "user-set"])
     def test_main_pins_blas_threads(self, user):
@@ -282,7 +271,7 @@ class TestCli:
         from hluflow.cli import _config_from_args
 
         cfg = _config_from_args(args)
-        assert BenchConfig.from_json(cfg.to_json()) == cfg
+        assert BenchConfig(**json.loads(cfg.to_json())).validate() == cfg
 
 
 def test_build_case_deterministic():

@@ -56,7 +56,8 @@ def test_block_tree_traversal_oracle():
             assert adm
         elif b.kind == PARTITIONED:
             assert not adm and b.row.sons and b.col.sons
-            assert b.rsons == len(b.row.sons) and b.csons == len(b.col.sons)
+            assert len(b.sons) == len(b.row.sons)
+            assert all(len(row) == len(b.col.sons) for row in b.sons)
             for i, tc in enumerate(b.row.sons):
                 for j, sc in enumerate(b.col.sons):
                     child = b.sons[i][j]

@@ -25,13 +25,18 @@ from hluflow.hmatrix import (
     hmatvec,
 )
 from hluflow.hlu import (
+    FlopCounter,
+    HluPlan,
+    _Emit,
+    _factor,
+    _flush,
+    _Inline,
+    _solve,
+    _update,
     emit_task_graph,
     hlu_factorize,
     lower_unit_matvec,
     make_plan,
-    solve_lower_hmatrix,
-    solve_upper_hmatrix,
-    update_hmatrix,
     upper_matvec,
 )
 from hluflow.kernels import make_bem_case
@@ -188,9 +193,9 @@ class TestSequentialMixed:
     def test_skeleton_unchanged_by_factorization(self):
         h = mixed_matrix(128)
         sk = build_skeleton(h)
-        before = sk.fingerprint()
+        before = (sk.size, dict(sk.ranges))
         hlu_factorize(make_plan(h, TruncationControl(1e-8)))
-        assert sk.fingerprint() == before
+        assert (sk.size, sk.ranges) == before
 
     def test_rank_cap_respected(self):
         h = mixed_matrix(192)
@@ -209,7 +214,7 @@ class TestSolves:
             leaf.data[:] = np.eye(32)[r0:r1, c0:c1]
         b = dense2x2_matrix(32, 1, seed=2)
         want = flatten(b).copy()
-        solve_lower_hmatrix(l, b)
+        _solve(_Inline(), l, b, False, TruncationControl(), FlopCounter())
         assert np.allclose(flatten(b), want)
 
     @SOLVE_CASES
@@ -220,7 +225,7 @@ class TestSolves:
         lfull, _ = lu_split(flatten(h))
         b = solve_rhs(nb, 8, lowrank, h)
         bfull = flatten(b).copy()
-        solve_lower_hmatrix(h, b, TruncationControl(1e-10))
+        _solve(_Inline(), h, b, False, TruncationControl(1e-10), FlopCounter())
         want = np.linalg.solve(lfull, bfull)
         got = flatten(b)
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
@@ -232,7 +237,7 @@ class TestSolves:
         _, ufull = lu_split(flatten(h))
         b = solve_rhs(nb, 9, lowrank, h)
         bfull = flatten(b).copy()
-        solve_upper_hmatrix(b, h, TruncationControl(1e-10))
+        _solve(_Inline(), h, b, True, TruncationControl(1e-10), FlopCounter())
         want = bfull @ np.linalg.inv(ufull)
         got = flatten(b)
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
@@ -242,7 +247,7 @@ class TestSolves:
         a = mixed_matrix(128, leafsize=16, eta=0.5, seed=11)
         b = mixed_matrix(128, leafsize=16, eta=0.5, seed=12)
         want = flatten(c) - flatten(a) @ flatten(b)
-        update_hmatrix(c, a, b, TruncationControl(1e-10))
+        _update(_Inline(), c, a, b, TruncationControl(1e-10), FlopCounter())
         got = flatten(c)
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
@@ -255,7 +260,9 @@ class TestSolves:
         _, ufull = lu_split(flatten(u))
         b = lowrank_leaf(u.block, k, seed=6)
         want = flatten(b) @ np.linalg.inv(ufull)
-        assert solve_upper_hmatrix(b, u) == n * n * k
+        flops = FlopCounter()
+        _solve(_Inline(), u, b, True, TruncationControl(), flops)
+        assert flops.total == n * n * k
         assert np.linalg.norm(flatten(b) - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_update_dense_only_vs_flat_gemm(self):
@@ -263,7 +270,7 @@ class TestSolves:
         a = dense2x2_matrix(128, 3, seed=21)
         b = dense2x2_matrix(128, 3, seed=22)
         want = flatten(c) - flatten(a) @ flatten(b)
-        update_hmatrix(c, a, b)
+        _update(_Inline(), c, a, b, TruncationControl(), FlopCounter())
         assert np.linalg.norm(flatten(c) - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("right", [False, True], ids=["left", "right"])
@@ -273,11 +280,10 @@ class TestSolves:
         lfull, ufull = lu_split(flatten(h))
         b = dense2x2_matrix(256, 3, seed=24)
         bfull = flatten(b).copy()
+        _solve(_Inline(), h, b, right, TruncationControl(), FlopCounter())
         if right:
-            solve_upper_hmatrix(b, h)
             want = bfull @ np.linalg.inv(ufull)
         else:
-            solve_lower_hmatrix(h, b)
             want = np.linalg.solve(lfull, bfull)
         assert np.linalg.norm(flatten(b) - want) <= 1e-11 * np.linalg.norm(want)
 
@@ -287,7 +293,7 @@ class TestSolves:
         root = build_block_tree(tree, tree, 1e9)  # single admissible leaf
         zero = build_hmatrix(root)  # rank 0
         before = flatten(c).copy()
-        update_hmatrix(c, zero, zero, TruncationControl(1e-10))
+        _update(_Inline(), c, zero, zero, TruncationControl(1e-10), FlopCounter())
         assert np.array_equal(flatten(c), before)
 
 
@@ -305,13 +311,15 @@ class TestAccumulatedUpdates:
         if emit:
             sk = build_skeleton(h)
             rt = Runtime(slots=sk.size, workers=2)
-            update_hmatrix(c, a, b, ctl, runtime=rt, skeleton=sk)
+            _update(_Emit(rt, HluPlan(c, sk, ctl)), c, a, b, ctl, FlopCounter())
             rt.run()
         else:
-            update_hmatrix(c, a, b, ctl)
-        leaves = [leaf.data for leaf in c.leaves() if leaf.kind == LOWRANK]
-        assert leaves
-        for x in leaves:
+            _update(_Inline(), c, a, b, ctl, FlopCounter())
+        lowrank = [leaf for leaf in c.leaves() if leaf.kind == LOWRANK]
+        assert lowrank
+        for leaf in lowrank:
+            _flush(leaf, ctl, FlopCounter())
+            x = leaf.data
             again = recompress(x, ctl)
             assert ctl.kmax is None or x.k <= ctl.kmax
             assert again.k == x.k
@@ -433,28 +441,38 @@ class TestExactProducts:
         got = _multiply_lowrank(a, b).value()
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
+        # the stored sum itself, before any flush, holds none of the operands' memory
         c = lowrank_leaf(block, 2, seed=33)
-        update_hmatrix(c, a, b, TruncationControl(1e-10))
+        _update(_Inline(), c, a, b, TruncationControl(1e-10), FlopCounter())
         for x in (c.data.a, c.data.b):
             assert not any(np.shares_memory(x, y) for y in (*payloads(a), *payloads(b)))
 
     def test_factorization_compresses_no_dense_product(self, monkeypatch):
-        # dense x dense products reach a low-rank leaf's sum exact: no SVD of a product
+        # dense x dense products reach a low-rank leaf's sum exact: the only SVDs
+        # of a dense block are those of the sums that reach the half-block bound
         import hluflow.hlu as hlu_module
+        import hluflow.lowrank as lowrank_module
 
-        calls = []
-        compress_dense = hlu_module.compress_dense
+        svds, hits = [], []
+        compress_dense = lowrank_module.compress_dense
+        add_truncated = hlu_module.add_truncated
 
-        def counted(d, ctl):
-            calls.append(d.shape)
+        def compress_counted(d, ctl):
+            svds.append(d.shape)
             return compress_dense(d, ctl)
 
-        monkeypatch.setattr(hlu_module, "compress_dense", counted)
+        def add_truncated_counted(x1, x2, ctl):
+            hits.append(x1.shape)
+            return add_truncated(x1, x2, ctl)
+
         case = make_bem_case(2, 256, eta=0.5, leafsize=16, eps=1e-6)
+        monkeypatch.setattr(lowrank_module, "compress_dense", compress_counted)
+        monkeypatch.setattr(hlu_module, "add_truncated", add_truncated_counted)
         h_seq, h_par = case.hmatrix.copy(), case.hmatrix.copy()
         hlu_factorize(make_plan(h_seq, TruncationControl(1e-6)))
         hlu_factorize(make_plan(h_par, TruncationControl(1e-6), mode="parallel", workers=2))
-        assert calls == []
+        assert len(hits) > 0
+        assert len(svds) == len(hits)
         assert np.array_equal(flatten(h_par), flatten(h_seq))
 
 
@@ -498,10 +516,9 @@ class TestTaskEmission:
         sk = build_skeleton(h)
         rt = Runtime(slots=sk.size, collect=True)
         ctl = TruncationControl(1e-10)
-        if right:
-            solve_upper_hmatrix(h.child(0, 1), h.child(1, 1), ctl, runtime=rt, skeleton=sk)
-        else:
-            solve_lower_hmatrix(h.child(0, 0), h.child(0, 1), ctl, runtime=rt, skeleton=sk)
+        b = h.child(0, 1)
+        f = h.child(1, 1) if right else h.child(0, 0)
+        _solve(_Emit(rt, HluPlan(b, sk, ctl)), f, b, right, ctl, FlopCounter())
         tasks = rt.tasks
         parent = tasks[0]
         subs = [t for t in tasks if t.parent is parent]
@@ -713,8 +730,6 @@ class TestDagSoundness:
         for wd_er in (True, False):
             rt = Runtime(slots=sk.size, workers=4, wd_er=wd_er)
             plan = make_plan(h.copy(), mode="parallel", workers=4, wd_er=wd_er)
-            from hluflow.hlu import _Emit, _factor
-
             _factor(_Emit(rt, plan), plan.matrix, plan.truncation, plan.flops)
             spans[wd_er] = rt.run_virtual().makespan
         assert spans[True] <= spans[False]
@@ -730,6 +745,28 @@ def test_sequential_mode_uses_no_runtime(monkeypatch):
     monkeypatch.setattr(hlu_module, "Runtime", forbidden)
     h = dense2x2_matrix(64, 2)
     hlu_factorize(make_plan(h))
+
+
+def test_sequential_run_formats_labels_only_for_lu_bodies(monkeypatch):
+    # only emitted tasks carry a label; inline, the one label formatted is the
+    # block path each LU body hands its kernel for a singular-pivot error
+    import hluflow.hlu as hlu_module
+
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    h = make_bem_case(1, 512, eta=0.5, leafsize=32, eps=1e-6).hmatrix
+    for name in ("_lbl", "lu_nopivot"):
+        monkeypatch.setattr(hlu_module, name, counting(name, getattr(hlu_module, name)))
+    hlu_factorize(make_plan(h, TruncationControl(1e-6)))
+    assert counts["lu_nopivot"] > 0
+    assert counts["_lbl"] == counts["lu_nopivot"]
 
 
 def test_kernels_looked_up_at_call_time(monkeypatch):
