@@ -15,6 +15,8 @@ one strong task, as OpenMP's ``final`` clause would.
 Products are exact; a low-rank destination sums its updates in a fixed source
 order and is truncated only by its flush, just before its triangular solve, or
 at the half-block bound; parallel runs match the sequential result bit for bit.
+Leaf formats are fixed by ``make_plan`` before any run: it stores dense each
+low-rank leaf that a dense x dense update alone would push to that bound.
 """
 
 from __future__ import annotations
@@ -78,12 +80,23 @@ def make_plan(
     wd_er: bool = True,
     seed: int = 0,
 ) -> HluPlan:
+    """Fix the formats of ``h``'s leaves; bundle it with its skeleton and settings.
+
+    One bodiless walk of the recursion in program order (``_Formats``) stores
+    dense, in ``h`` and not in the matrices it shares blocks with, each
+    low-rank leaf that a dense x dense update would push to the half-block
+    bound.  Program order, and so each format, is the same in every mode and
+    for any ``workers`` and ``wd_er``.
+    """
     if mode not in (SEQUENTIAL, PARALLEL):
         raise ValueError(f"unknown mode {mode!r}")
+    ctl = truncation if truncation is not None else TruncationControl()
+    if h.rows == h.cols:
+        _factor(_Formats(), h, ctl, FlopCounter())
     return HluPlan(
         matrix=h,
         skeleton=build_skeleton(h),
-        truncation=truncation if truncation is not None else TruncationControl(),
+        truncation=ctl,
         mode=mode,
         workers=workers,
         wd_er=wd_er,
@@ -191,6 +204,26 @@ class _Inline:
 
     def parent(self, label, specs, spawn):
         spawn(self)
+
+
+class _Formats(_Inline):
+    """Runs no body; stores dense each low-rank leaf that receives a dense x dense
+    product whose inner dimension reaches half the leaf's smaller side.
+
+    Such a product alone has that rank, so the update body would take the
+    half-block bound and an SVD whatever the leaf's rank.  Every update into
+    a leaf precedes its solve, which precedes its use as an operand, so the
+    operands' formats are final when the walk reaches an update.
+    """
+
+    def leaf(self, label, specs, body):
+        if label[0] != "update" or len(specs) != 3:
+            return
+        (c, _), (a, _), (b, _) = specs
+        inner = a.col_range[1] - a.col_range[0]
+        if c.kind == LOWRANK and a.kind == b.kind == DENSE and inner >= min(c.rows, c.cols) / 2:
+            c.kind = DENSE
+            c.data = c.data.value()
 
 
 def _extent(op):

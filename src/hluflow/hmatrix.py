@@ -1,12 +1,12 @@
 """Hierarchical matrix storage and the immutable skeleton slot array.
 
 An HMatrix mirrors its block tree: inadmissible leaves hold dense numpy
-arrays, admissible leaves hold LowRank factor pairs, partitioned nodes hold a
-grid of children.  The skeleton assigns every leaf one slot in a flat array,
-depth-first row-major, so that the slots below any block-tree node form a
-contiguous interval.  Those intervals stand in for operand memory regions in
-dependency detection and never change, no matter how the low-rank factors
-are reallocated by the arithmetic.
+arrays, admissible leaves LowRank factor pairs unless a plan stored them
+dense, partitioned nodes a grid of children.  The skeleton assigns every leaf
+one slot in a flat array, depth-first row-major, so that the slots below any
+block-tree node form a contiguous interval.  Those intervals stand in for
+operand memory regions in dependency detection and never change, no matter
+how the low-rank factors are reallocated by the arithmetic.
 
 Every product of an H-node or a leaf window with a block of vectors, from
 either side, plain, subtracting or restricted to a factored triangle, goes
@@ -326,7 +326,8 @@ def load_hmatrix(path) -> HMatrix:
             i = counter[0]
             counter[0] += 1
             block = BlockNode(row, col, node["kind"])
-            if node["kind"] == INADMISSIBLE:
+            # a plan may store an admissible leaf dense: the saved arrays tell its format
+            if f"leaf{i}_d" in data.files:
                 return HMatrix(block, DENSE, data[f"leaf{i}_d"].copy())
             return HMatrix(
                 block, LOWRANK, LowRank(data[f"leaf{i}_a"], data[f"leaf{i}_b"])

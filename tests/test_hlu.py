@@ -475,6 +475,46 @@ class TestExactProducts:
         assert len(svds) == len(hits)
         assert np.array_equal(flatten(h_par), flatten(h_seq))
 
+    @pytest.mark.parametrize("d, n, leafsize", [(3, 512, 32), (2, 256, 16)], ids=["d3", "d2"])
+    def test_planned_run_sends_no_dense_pair_to_the_bound(self, monkeypatch, d, n, leafsize):
+        # a dense x dense pair whose inner dimension reaches half a low-rank
+        # destination's smaller side would take the half-block bound alone;
+        # planning stores such destinations dense, so only a run that skips
+        # make_plan meets one, while the bound itself stays reached
+        import hluflow.hlu as hlu_module
+
+        multiply, add_truncated = hlu_module._multiply_lowrank, hlu_module.add_truncated
+        seen = {"depth": 0, "pairs": 0, "hits": 0}
+
+        def multiply_counted(a, b):
+            inner = a.col_range[1] - a.col_range[0]
+            side = min(a.row_range[1] - a.row_range[0], b.col_range[1] - b.col_range[0])
+            if seen["depth"] == 0 and a.kind == b.kind == DENSE and inner >= side / 2:
+                seen["pairs"] += 1
+            seen["depth"] += 1
+            try:
+                return multiply(a, b)
+            finally:
+                seen["depth"] -= 1
+
+        def add_truncated_counted(x1, x2, ctl):
+            seen["hits"] += 1
+            return add_truncated(x1, x2, ctl)
+
+        case = make_bem_case(d, n, eta=1.0 if d == 3 else 0.5, leafsize=leafsize, eps=1e-6)
+        monkeypatch.setattr(hlu_module, "_multiply_lowrank", multiply_counted)
+        monkeypatch.setattr(hlu_module, "add_truncated", add_truncated_counted)
+        counts = {}
+        for planned in (False, True):
+            h, ctl = case.hmatrix.copy(), TruncationControl(1e-6)
+            plan = make_plan(h, ctl) if planned else HluPlan(h, build_skeleton(h), ctl)
+            seen.update(pairs=0, hits=0)
+            hlu_factorize(plan)
+            counts[planned] = (seen["pairs"], seen["hits"])
+        assert counts[False][0] > 0
+        assert counts[True][0] == 0
+        assert 0 < counts[True][1] < counts[False][1]
+
 
 class TestTaskEmission:
     def test_top_level_five_tasks_and_edges(self):
@@ -655,6 +695,37 @@ class TestParallelEquivalence:
         ax = hmatvec(original, x)
         lux = lower_unit_matvec(case.hmatrix, upper_matvec(case.hmatrix, x))
         assert np.linalg.norm(ax - lux) <= 1e-4 * np.linalg.norm(ax)
+
+    def test_planned_formats_independent_of_run(self):
+        # the walk in make_plan follows program order, so the formats it fixes do
+        # not depend on the mode, the worker count or early release
+        case = make_bem_case(3, 512, eta=1.0, leafsize=32, eps=1e-6)
+        template = case.hmatrix
+        kinds_before = [leaf.kind for leaf in template.leaves()]
+        h_seq = template.copy()
+        make_plan(h_seq, TruncationControl(1e-6))
+        kinds = [leaf.kind for leaf in h_seq.leaves()]
+        converted = [
+            (t, p) for t, p in zip(template.leaves(), h_seq.leaves()) if t.kind != p.kind
+        ]
+        assert len(converted) == 18
+        for t, p in converted:
+            assert (t.kind, p.kind) == (LOWRANK, DENSE)
+            assert np.array_equal(p.data, t.data.value())
+        assert [leaf.kind for leaf in template.leaves()] == kinds_before
+
+        payloads_before = [leaf.data for leaf in h_seq.leaves()]
+        plan = make_plan(h_seq, TruncationControl(1e-6))  # a planned matrix converts nothing
+        assert all(leaf.data is x for leaf, x in zip(h_seq.leaves(), payloads_before))
+        hlu_factorize(plan)
+        for workers in (1, 2, 4, 16):
+            for wd_er in (True, False):
+                h = template.copy()
+                ctl = TruncationControl(1e-6)
+                plan = make_plan(h, ctl, mode="parallel", workers=workers, wd_er=wd_er)
+                assert [leaf.kind for leaf in h.leaves()] == kinds, (workers, wd_er)
+                hlu_factorize(plan)
+                assert np.array_equal(flatten(h), flatten(h_seq)), (workers, wd_er)
 
     @pytest.mark.parametrize("workers,wd_er", [(1, True), (3, True), (3, False)])
     def test_mixed_bitwise(self, workers, wd_er):

@@ -254,3 +254,19 @@ def test_save_load_round_trip(tmp_path, rng):
     h2 = load_hmatrix(path)
     assert np.array_equal(flatten(h2), flatten(h))
     assert structure_dump(h2) == structure_dump(h)
+
+
+def test_save_load_round_trip_of_planned_matrix(tmp_path):
+    # a plan stores some admissible leaves dense; loading follows the saved arrays
+    from hluflow.hlu import make_plan
+    from hluflow.kernels import make_bem_case
+    from hluflow.lowrank import TruncationControl
+
+    h = make_bem_case(3, 512, eta=1.0, leafsize=32, eps=1e-6).hmatrix
+    make_plan(h, TruncationControl(1e-6))
+    assert any(leaf.kind == DENSE and leaf.block.kind == "admissible" for leaf in h.leaves())
+    path = tmp_path / "h.npz"
+    save_hmatrix(path, h)
+    h2 = load_hmatrix(path)
+    assert structure_dump(h2) == structure_dump(h)
+    assert np.array_equal(flatten(h2), flatten(h))
