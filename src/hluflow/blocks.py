@@ -29,10 +29,6 @@ class BlockNode:
         self.sons = sons if sons is not None else []
 
     @property
-    def is_leaf(self):
-        return self.kind != PARTITIONED
-
-    @property
     def rows(self):
         return self.row.size
 
@@ -47,18 +43,6 @@ class BlockNode:
     @property
     def col_range(self):
         return (self.col.start, self.col.end)
-
-    def leaves(self):
-        out = []
-        stack = [self]
-        while stack:
-            b = stack.pop()
-            if b.is_leaf:
-                out.append(b)
-            else:
-                for row in reversed(b.sons):
-                    stack.extend(reversed(row))
-        return out
 
     def __repr__(self):
         return f"BlockNode({self.kind} [{self.row.start}:{self.row.end})x[{self.col.start}:{self.col.end}))"

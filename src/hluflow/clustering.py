@@ -8,8 +8,6 @@ fallback so that degenerate point sets still terminate.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 DEFAULT_LEAFSIZE = 32
@@ -62,35 +60,6 @@ class ClusterTree:
         self.permutation = permutation
         self.leafsize = leafsize
 
-    @property
-    def n(self):
-        return self.root.size
-
-    def leaves(self):
-        out = []
-        stack = [self.root]
-        while stack:
-            c = stack.pop()
-            if c.is_leaf:
-                out.append(c)
-            else:
-                stack.extend(reversed(c.sons))
-        return out
-
-    def dump(self):
-        """Deterministic one-node-per-line description, for golden tests."""
-        lines = []
-
-        def visit(c):
-            lo = " ".join("%.17g" % v for v in c.bbox_min)
-            hi = " ".join("%.17g" % v for v in c.bbox_max)
-            lines.append(f"{c.level} [{c.start}:{c.end}) bbox [{lo}] [{hi}]")
-            for s in c.sons:
-                visit(s)
-
-        visit(self.root)
-        return "\n".join(lines) + "\n"
-
 
 def _as_points(dofs):
     pts = np.asarray(dofs, dtype=float)
@@ -139,12 +108,6 @@ def build_cluster_tree(dofs, leafsize=DEFAULT_LEAFSIZE):
             # Midpoint split failed (clustered/duplicate coordinates):
             # median split, stable so equal coordinates keep their order.
             k = size // 2
-            if k == 0 or k == size:
-                warnings.warn(
-                    f"cluster [{lo}:{hi}) cannot be split; keeping oversized leaf",
-                    stacklevel=2,
-                )
-                return Cluster(lo, hi, bmin, bmax, level=level)
             sel = np.argsort(coords, kind="stable")
             order[lo:hi] = order[lo:hi][sel]
         else:

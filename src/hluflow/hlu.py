@@ -303,7 +303,9 @@ class _Sum(LowRank):
 
 
 def _flush(b, ctl, flops):
-    """Truncate the sum a low-rank leaf accumulated (two thin QRs, a k x k SVD); else no-op."""
+    """Truncate the sum a low-rank leaf or window's leaf accumulated (two thin QRs, a k x k SVD)."""
+    if isinstance(b, _Window):
+        b = b.leaf
     if isinstance(b.data, _Sum):
         flops.add(4 * sum(b.data.shape) * b.data.k**2 + 22 * b.data.k**3)
         b.data = recompress(b.data, ctl)
@@ -316,7 +318,8 @@ def _solve(ex, f, b, right, ctl, flops):
     factor.  ``b`` is an H-node or a row (left) or column (right) window of
     a leaf; against a partitioned factor a leaf is solved panel by panel, in
     place.  A partitioned ``b`` is visited transposed on the right, so both
-    sides run one block-row elimination.  A whole low-rank leaf is flushed first.
+    sides run one block-row elimination.  The first solve body that reaches a
+    low-rank leaf flushes it.
     """
     label = ("rsolve" if right else "lsolve", b)
     if f.kind == DENSE:
@@ -346,8 +349,6 @@ def _solve(ex, f, b, right, ctl, flops):
                 for j in range(m):
                     _solve(ex, f.child(i, i), bc(i, j), right, ctl, flops)
             return
-        if isinstance(b, HMatrix) and b.kind == LOWRANK:
-            ex.leaf(label, [(b, "rw")], lambda: _flush(b, ctl, flops))
         if right:
             panels = [_Window(b, b.row_range, cols) for cols in _col_splits(f)]
         else:

@@ -15,11 +15,12 @@ through the one walker ``_matvec_into``.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
 
-from .blocks import ADMISSIBLE, BlockNode, INADMISSIBLE, PARTITIONED
+from .blocks import ADMISSIBLE, BlockNode, PARTITIONED
 from .clustering import Cluster
 from .lowrank import LowRank
 
@@ -79,12 +80,9 @@ class HMatrix:
         return out
 
     def copy(self):
-        if self.kind == DENSE:
-            return HMatrix(self.block, DENSE, self.data.copy())
-        if self.kind == LOWRANK:
-            return HMatrix(self.block, LOWRANK, self.data.copy())
-        grid = [[c.copy() for c in row] for row in self.data]
-        return HMatrix(self.block, PARTITIONED, grid)
+        if self.kind == PARTITIONED:
+            return HMatrix(self.block, PARTITIONED, [[c.copy() for c in row] for row in self.data])
+        return HMatrix(self.block, self.kind, self.data.copy())
 
     def __repr__(self):
         r0, r1 = self.row_range
@@ -92,32 +90,30 @@ class HMatrix:
         return f"HMatrix({self.kind} [{r0}:{r1})x[{c0}:{c1}))"
 
 
-def build_hmatrix(block: BlockNode, policy="zero") -> HMatrix:
+def _zero(b):
+    if b.kind == ADMISSIBLE:
+        return LowRank.zeros(b.rows, b.cols)
+    return np.zeros((b.rows, b.cols))
+
+
+def build_hmatrix(block: BlockNode, policy=_zero) -> HMatrix:
     """Create an HMatrix matching a block tree leaf for leaf.
 
-    ``policy`` fills the leaves: the default 'zero' gives zero dense blocks
-    and rank-0 low-rank blocks; a callable ``policy(leaf_block)`` may return
-    a dense array or a LowRank instead.
+    ``policy(leaf_block)`` returns each leaf's payload, which sets its format:
+    an array gives a dense leaf for any block, a LowRank a low-rank leaf of an
+    admissible block.  The default gives zero dense blocks and rank-0
+    low-rank blocks.
     """
-
-    def content(b):
-        if callable(policy):
-            data = policy(b)
-            if b.kind == ADMISSIBLE and not isinstance(data, LowRank):
-                raise StructureError("policy must return LowRank for admissible leaves")
-            if b.kind == INADMISSIBLE and not isinstance(data, np.ndarray):
-                raise StructureError("policy must return an array for dense leaves")
-            return data
-        if b.kind == ADMISSIBLE:
-            return LowRank.zeros(b.rows, b.cols)
-        return np.zeros((b.rows, b.cols))
 
     def build(b):
         if b.kind == PARTITIONED:
-            grid = [[build(c) for c in row] for row in b.sons]
-            return HMatrix(b, PARTITIONED, grid)
-        kind = LOWRANK if b.kind == ADMISSIBLE else DENSE
-        return HMatrix(b, kind, content(b))
+            return HMatrix(b, PARTITIONED, [[build(c) for c in row] for row in b.sons])
+        data = policy(b)
+        if isinstance(data, np.ndarray):
+            return HMatrix(b, DENSE, data)
+        if isinstance(data, LowRank) and b.kind == ADMISSIBLE:
+            return HMatrix(b, LOWRANK, data)
+        raise StructureError(f"policy returned {type(data).__name__} for {b!r}")
 
     return build(block)
 
@@ -135,9 +131,8 @@ class Skeleton:
         self.ranges = ranges
 
 
-def build_skeleton(h) -> Skeleton:
+def build_skeleton(h: HMatrix) -> Skeleton:
     """Enumerate leaves depth-first row-major and record per-node intervals."""
-    root = h.block if isinstance(h, HMatrix) else h
     ranges = {}
 
     def visit(b, lo):
@@ -151,7 +146,7 @@ def build_skeleton(h) -> Skeleton:
         ranges[b] = (lo, hi)
         return hi
 
-    size = visit(root, 0)
+    size = visit(h.block, 0)
     return Skeleton(size, ranges)
 
 
@@ -302,35 +297,22 @@ def _stub_cluster(rng):
     return Cluster(lo, hi, np.array([float(lo)]), np.array([float(hi)]))
 
 
+def _block_from_json(node):
+    row, col = _stub_cluster(node["row"]), _stub_cluster(node["col"])
+    sons = [[_block_from_json(c) for c in srow] for srow in node.get("sons", [])]
+    return BlockNode(row, col, node["kind"], sons)
+
+
 def load_hmatrix(path) -> HMatrix:
     with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        counter = [0]
+        block = _block_from_json(json.loads(bytes(data["header"]).decode()))
+        ids = itertools.count()
 
-        def rebuild(node):
-            row = _stub_cluster(node["row"])
-            col = _stub_cluster(node["col"])
-            if node["kind"] == PARTITIONED:
-                grid_b = []
-                grid_h = []
-                for srow in node["sons"]:
-                    rb, rh = [], []
-                    for sub in srow:
-                        hb = rebuild(sub)
-                        rb.append(hb.block)
-                        rh.append(hb)
-                    grid_b.append(rb)
-                    grid_h.append(rh)
-                block = BlockNode(row, col, PARTITIONED, grid_b)
-                return HMatrix(block, PARTITIONED, grid_h)
-            i = counter[0]
-            counter[0] += 1
-            block = BlockNode(row, col, node["kind"])
+        def payload(b):
             # a plan may store an admissible leaf dense: the saved arrays tell its format
+            i = next(ids)
             if f"leaf{i}_d" in data.files:
-                return HMatrix(block, DENSE, data[f"leaf{i}_d"].copy())
-            return HMatrix(
-                block, LOWRANK, LowRank(data[f"leaf{i}_a"], data[f"leaf{i}_b"])
-            )
+                return data[f"leaf{i}_d"].copy()
+            return LowRank(data[f"leaf{i}_a"], data[f"leaf{i}_b"])
 
-        return rebuild(header)
+        return build_hmatrix(block, payload)

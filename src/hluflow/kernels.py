@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import ADMISSIBLE, PARTITIONED, build_block_tree
+from .blocks import ADMISSIBLE, build_block_tree
 from .clustering import build_cluster_tree, DEFAULT_LEAFSIZE
-from .hmatrix import DENSE, HMatrix, LOWRANK
+from .hmatrix import HMatrix, build_hmatrix
 from .lowrank import LowRank, TruncationControl, recompress
 
 
@@ -157,15 +157,11 @@ def assemble_lowrank_block(points, t, s, cfg: KernelConfig) -> LowRank:
 def assemble_hmatrix(block, points, cfg: KernelConfig) -> HMatrix:
     """Fill a block tree: admissible leaves low-rank, the rest dense."""
 
-    def build(b):
-        if b.kind == PARTITIONED:
-            grid = [[build(c) for c in row] for row in b.sons]
-            return HMatrix(b, PARTITIONED, grid)
-        if b.kind == ADMISSIBLE:
-            return HMatrix(b, LOWRANK, assemble_lowrank_block(points, b.row, b.col, cfg))
-        return HMatrix(b, DENSE, assemble_dense_block(points, b.row, b.col, cfg))
+    def payload(b):
+        assemble = assemble_lowrank_block if b.kind == ADMISSIBLE else assemble_dense_block
+        return assemble(points, b.row, b.col, cfg)
 
-    return build(block)
+    return build_hmatrix(block, payload)
 
 
 # -- built-in geometries ------------------------------------------------------
@@ -204,11 +200,9 @@ class BemCase:
     """An assembled kernel matrix together with its construction context."""
 
     hmatrix: HMatrix
-    block: object
     tree: object
     points: np.ndarray
     cfg: KernelConfig
-    eta: float
 
 
 def make_bem_case(
@@ -231,4 +225,4 @@ def make_bem_case(
         diag_distance=0.5 * mesh_width(d, n),
     )
     h = assemble_hmatrix(block, tree.points, cfg)
-    return BemCase(h, block, tree, tree.points, cfg, eta)
+    return BemCase(h, tree, tree.points, cfg)

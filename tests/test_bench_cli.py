@@ -175,6 +175,12 @@ class TestCli:
         assert h.rows == 256
         assert "lowrank" in dump.read_text()
 
+    def test_assemble_rejects_dense2x2(self, tmp_path, capsys):
+        out = tmp_path / "h.npz"
+        assert main(["assemble", "--case", "dense2x2", "--output", str(out)]) == EXIT_CONFIG
+        assert "expects --case bem" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_graph_export(self, tmp_path, capsys):
         out = tmp_path / "g.dot"
         code = main(

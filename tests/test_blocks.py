@@ -17,6 +17,10 @@ def line_tree(coords, leafsize):
     return build_cluster_tree(np.asarray(coords, dtype=float), leafsize)
 
 
+def leaf_blocks(root):
+    return [h.block for h in build_hmatrix(root).leaves()]
+
+
 def test_admissible_same_cluster_is_false():
     t = line_tree([0.0, 1.0], 4).root
     assert not admissible(t, t, 1.0)
@@ -39,11 +43,11 @@ def test_leaf_cases():
             self.root = root
 
     node = build_block_tree(FakeTree(a), FakeTree(b), eta=0.25)
-    assert node.kind == INADMISSIBLE and node.is_leaf
+    assert node.kind == INADMISSIBLE and not node.sons
 
     far = line_tree([30.0, 31.0], 4)
     node = build_block_tree(FakeTree(a), far, eta=1.0)
-    assert node.kind == ADMISSIBLE and node.is_leaf
+    assert node.kind == ADMISSIBLE and not node.sons
 
 
 def test_block_tree_traversal_oracle():
@@ -74,7 +78,7 @@ def test_block_tree_traversal_oracle():
     # leaves tile the index square exactly once
     n = tree.root.size
     cover = np.zeros((n, n), dtype=int)
-    for leaf in root.leaves():
+    for leaf in leaf_blocks(root):
         r0, r1 = leaf.row_range
         c0, c1 = leaf.col_range
         cover[r0:r1, c0:c1] += 1
@@ -85,7 +89,7 @@ def test_symmetric_geometry_symmetric_structure():
     tree = line_tree(np.linspace(0.0, 1.0, 128), 16)
     root = build_block_tree(tree, tree, eta=0.5)
     kinds = {}
-    for leaf in root.leaves():
+    for leaf in leaf_blocks(root):
         kinds[(leaf.row_range, leaf.col_range)] = leaf.kind
     for (rr, cc), kind in kinds.items():
         assert kinds[(cc, rr)] == kind
@@ -94,7 +98,7 @@ def test_symmetric_geometry_symmetric_structure():
 def test_diagonal_2x2_small():
     root, _ = build_diagonal_2x2_tree(8, 1)
     assert root.kind == PARTITIONED
-    leaves = root.leaves()
+    leaves = leaf_blocks(root)
     assert len(leaves) == 4
     assert all(leaf.kind == INADMISSIBLE for leaf in leaves)
     assert all(leaf.rows == 4 and leaf.cols == 4 for leaf in leaves)
@@ -102,10 +106,10 @@ def test_diagonal_2x2_small():
 
 def test_diagonal_2x2_reference_sizes():
     root, _ = build_diagonal_2x2_tree(10000, 4)
-    diag = [b for b in root.leaves() if b.row_range == b.col_range]
+    diag = [b for b in leaf_blocks(root) if b.row_range == b.col_range]
     assert {b.rows for b in diag} == {625}
     root, _ = build_diagonal_2x2_tree(10000, 7)
-    diag = [b for b in root.leaves() if b.row_range == b.col_range]
+    diag = [b for b in leaf_blocks(root) if b.row_range == b.col_range]
     assert min(b.rows for b in diag) == 78
 
 
@@ -117,5 +121,5 @@ def test_diagonal_2x2_depth_guard():
 def test_structure_dump_lists_every_leaf():
     root, _ = build_diagonal_2x2_tree(16, 2)
     dump = structure_dump(build_hmatrix(root))
-    assert len(dump.strip().split("\n")) == len(root.leaves())
+    assert len(dump.strip().split("\n")) == len(leaf_blocks(root))
     assert "[0:4) [0:4) dense dense" in dump

@@ -71,8 +71,9 @@ def test_random_tree_traversal_oracle(rng):
 def test_duplicate_coordinates_terminate():
     pts = np.zeros((17, 2))
     tree = build_cluster_tree(pts, leafsize=2)
-    for leaf in tree.leaves():
-        assert leaf.size <= 2
+    leaves = [c for c in collect(tree.root) if c.is_leaf]
+    assert sum(c.size for c in leaves) == 17
+    assert all(c.size <= 2 for c in leaves)
 
 
 def test_diam_examples():
@@ -99,9 +100,16 @@ def test_dist_examples():
         dist(a, c)
 
 
-def test_dump_is_deterministic(rng):
+def test_tree_is_deterministic(rng):
     pts = rng.random((40, 3))
+
+    def nodes(tree):
+        return [
+            (c.level, c.start, c.end, c.bbox_min.tolist(), c.bbox_max.tolist())
+            for c in collect(tree.root)
+        ]
+
     t1 = build_cluster_tree(pts, leafsize=8)
     t2 = build_cluster_tree(pts, leafsize=8)
-    assert t1.dump() == t2.dump()
-    assert t1.dump().count("\n") == len(collect(t1.root))
+    assert nodes(t1) == nodes(t2)
+    assert np.array_equal(t1.permutation, t2.permutation)

@@ -628,6 +628,14 @@ class TestTaskEmission:
                 assert not any(r.weak for r in t.regions)
         assert counts[0] < counts[1] < counts[2] < len(full.tasks)
 
+    @pytest.mark.parametrize("workers", [4, 16])
+    def test_emitted_labels_are_unique(self, workers):
+        # one task per operation: a low-rank leaf is flushed inside its first solve body
+        h = make_bem_case(1, 2048, eta=0.5, leafsize=64, eps=1e-6).hmatrix
+        plan = make_plan(h, TruncationControl(1e-6), mode="parallel", workers=workers)
+        labels = Counter(t.label for t in emit_task_graph(plan).tasks)
+        assert [label for label, count in labels.items() if count > 1] == []
+
     def test_emitted_graph_runs_like_sequential(self):
         h_seq = mixed_matrix(160, leafsize=16)
         h_par = mixed_matrix(160, leafsize=16)

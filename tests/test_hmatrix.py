@@ -6,6 +6,7 @@ from hluflow.clustering import build_cluster_tree
 from hluflow.hmatrix import (
     DENSE,
     LOWRANK,
+    StructureError,
     build_hmatrix,
     build_skeleton,
     flatten,
@@ -52,6 +53,31 @@ class TestBuild:
         rk = [leaf for leaf in h.leaves() if leaf.kind == LOWRANK]
         assert rk and all(leaf.data.k == 0 for leaf in rk)
         assert np.all(flatten(h) == 0.0)
+
+    def test_payload_sets_leaf_format(self):
+        root = bem_structure()
+        h = build_hmatrix(root, lambda b: np.ones((b.rows, b.cols)))
+        assert all(leaf.kind == DENSE for leaf in h.leaves())
+        assert any(leaf.block.kind == "admissible" for leaf in h.leaves())
+        assert np.all(flatten(h) == 1.0)
+        with pytest.raises(StructureError, match="LowRank"):
+            build_hmatrix(root, lambda b: LowRank.zeros(b.rows, b.cols))
+        with pytest.raises(StructureError, match="list"):
+            build_hmatrix(root, lambda b: [])
+
+    def test_rebuilds_planned_matrix(self):
+        # a plan stores admissible leaves dense; the builder takes those payloads as they are
+        from hluflow.hlu import make_plan
+        from hluflow.kernels import make_bem_case
+        from hluflow.lowrank import TruncationControl
+
+        h = make_bem_case(3, 512, eta=1.0, leafsize=32, eps=1e-6).hmatrix
+        make_plan(h, TruncationControl(1e-6))
+        payloads = {leaf.block: leaf.data for leaf in h.leaves()}
+        h2 = build_hmatrix(h.block, payloads.__getitem__)
+        assert sum(l.kind == DENSE and l.block.kind == "admissible" for l in h2.leaves()) == 18
+        assert structure_dump(h2) == structure_dump(h)
+        assert all(a.data is b.data for a, b in zip(h.leaves(), h2.leaves(), strict=True))
 
     def test_leaf_enumeration_order(self):
         # depth-first row-major over the 2x2 grid
@@ -224,6 +250,12 @@ def test_walker_vs_flatten(rng, operand, right, acc, tri):
     want = y - prod if acc else y + prod
     _matvec_into(op, x, y, right, acc, tri)
     assert np.linalg.norm(y - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_triangular_walk_rejects_lowrank_diagonal_leaf():
+    leaf = next(l for l in build_hmatrix(bem_structure()).leaves() if l.kind == LOWRANK)
+    with pytest.raises(StructureError, match="low-rank diagonal"):
+        _matvec_into(leaf, np.ones(leaf.cols), np.zeros(leaf.rows), tri="L")
 
 
 class TestFlatten:

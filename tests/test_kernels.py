@@ -5,7 +5,7 @@ import pytest
 
 from hluflow.blocks import ADMISSIBLE, build_block_tree
 from hluflow.clustering import build_cluster_tree
-from hluflow.hmatrix import LOWRANK, flatten, hmatvec
+from hluflow.hmatrix import LOWRANK, build_hmatrix, flatten, hmatvec
 from hluflow.kernels import (
     KernelConfig,
     assemble_dense_block,
@@ -107,7 +107,7 @@ class TestInterpolation:
         pts = geometry_points(1, 64)
         tree = build_cluster_tree(pts, 8)
         root = build_block_tree(tree, tree, eta=1.0)
-        adm = [b for b in root.leaves() if b.kind == ADMISSIBLE]
+        adm = [h.block for h in build_hmatrix(root).leaves() if h.block.kind == ADMISSIBLE]
         assert adm
         b = adm[0]
         cfg = KernelConfig(d=1, order=1, truncation=TruncationControl(0.0))
@@ -124,7 +124,7 @@ class TestLowrankAssembly:
         pts = geometry_points(1, 256)
         tree = build_cluster_tree(pts, 32)
         root = build_block_tree(tree, tree, eta=1.0)
-        adm = [b for b in root.leaves() if b.kind == ADMISSIBLE]
+        adm = [h.block for h in build_hmatrix(root).leaves() if h.block.kind == ADMISSIBLE]
         assert adm
         cfg = KernelConfig(d=1, order=6, truncation=TruncationControl(1e-6))
         worst = 0.0

@@ -21,6 +21,19 @@ def test_empty_run_completes():
     assert trace.makespan == 0.0
 
 
+@pytest.mark.parametrize("method", ["run", "run_virtual"])
+def test_runtime_executes_once_and_never_in_collect_mode(method):
+    rt = Runtime(slots=1)
+    rt.submit([Region(0, 1, "rw")], lambda: None, label="A")
+    getattr(rt, method)()
+    with pytest.raises(RuntimeError, match="already ran"):
+        getattr(rt, method)()
+    collecting = Runtime(slots=1, collect=True)
+    collecting.submit([Region(0, 1, "rw")], lambda: None, label="A")
+    with pytest.raises(RuntimeError, match="collect-mode"):
+        getattr(collecting, method)()
+
+
 def test_write_chain_executes_in_order():
     for workers in (1, 3):
         rt = Runtime(slots=2, workers=workers)
