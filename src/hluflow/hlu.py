@@ -4,13 +4,16 @@ The factorization of a partitioned block runs the classic sequence per
 diagonal step: factor the diagonal block, solve the row panel with the new
 lower factor, solve the column panel with the new upper factor, then
 multiply-accumulate into the trailing blocks, recursing on partitioned
-operands.  Executed inline this is the sequential algorithm; emitted onto the
-task runtime every recursion level becomes a parent task (weak accesses under
-early release, strong otherwise) and every leaf-level kernel becomes a task
-whose regions are exactly the skeleton intervals of its operands, so the
-runtime rediscovers the dependency structure of the recursion.  Below a
-granularity cutoff (see ``_Emit``) a whole recursion level runs inline inside
-one strong task, as OpenMP's ``final`` clause would.
+operands.  Each block operation is one record, ``_Op(kind, x, a, b)``, that
+an executor (carrying the truncation control and the flop counter) gets as a
+leaf, run whole by ``_kernel``, or as a recursion level, split by ``_expand``.
+Executed inline this is the sequential algorithm; emitted onto the task
+runtime every level becomes a parent task (weak accesses under early
+release, strong otherwise) and every leaf op a task whose regions are
+exactly the skeleton intervals of its operands, so the runtime rediscovers
+the dependency structure of the recursion.  Below a granularity cutoff (see
+``_Emit``) a whole level runs inline inside one strong task, as OpenMP's
+``final`` clause would.
 
 Products are exact; a low-rank destination sums its updates in a fixed source
 order and is truncated only by its flush, just before its triangular solve, or
@@ -23,6 +26,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,7 +97,7 @@ def make_plan(
         raise ValueError(f"unknown mode {mode!r}")
     ctl = truncation if truncation is not None else TruncationControl()
     if h.rows == h.cols:
-        _factor(_Formats(), h, ctl, FlopCounter())
+        _factor(_Formats(), h)
     return HluPlan(
         matrix=h,
         skeleton=build_skeleton(h),
@@ -109,8 +114,6 @@ def make_plan(
 
 def _slice(op, rows, cols):
     """The rows x cols part of a leaf or window; a whole leaf stays itself."""
-    if op.kind == PARTITIONED:
-        raise StructureError("cannot window a partitioned block")
     if isinstance(op, HMatrix) and rows == op.row_range and cols == op.col_range:
         return op
     return _Window(op, rows, cols)
@@ -147,7 +150,7 @@ def _product_grid(a, b, c=None):
     b_part = b.kind == PARTITIONED
     c_part = c is not None and c.kind == PARTITIONED
     if a_part and b_part and _col_splits(a) != _row_splits(b):
-        raise StructureError("inner partitions of a product do not match")
+        raise StructureError(f"inner partitions of {_lbl('', a)} @ {_lbl('', b)} do not match")
     rows = _row_splits(c) if c_part else (_row_splits(a) if a_part else [a.row_range])
     cols = _col_splits(c) if c_part else (_col_splits(b) if b_part else [b.col_range])
     mids = _col_splits(a) if a_part else (_row_splits(b) if b_part else [a.col_range])
@@ -193,103 +196,126 @@ def _merge_lowrank(parts):
     return LowRank(u, v)
 
 
-# -- executors --------------------------------------------------------------------
+# -- operations and the recursion ------------------------------------------------------
 
 
-class _Inline:
-    """Runs leaf kernels immediately; recursion levels are plain calls."""
+class _Op(NamedTuple):
+    """One block operation: ``kind`` writes ``x`` and reads ``a`` and ``b``.
 
-    def leaf(self, label, specs, body):
-        body()
-
-    def parent(self, label, specs, spawn):
-        spawn(self)
-
-
-class _Formats(_Inline):
-    """Runs no body; stores dense each low-rank leaf that receives a dense x dense
-    product whose inner dimension reaches half the leaf's smaller side.
-
-    Such a product alone has that rank, so the update body would take the
-    half-block bound and an SVD whatever the leaf's rank.  Every update into
-    a leaf precedes its solve, which precedes its use as an operand, so the
-    operands' formats are final when the walk reaches an update.
+    ``lu`` factors x; ``lsolve`` / ``rsolve`` solve x with the factored
+    diagonal block a; ``update`` is x -= a @ b; ``lpanel`` / ``rpanel``, the
+    steps of a leaf's solve, are x -= a @ b or x -= b @ a, x and b panels of
+    that leaf.
     """
 
-    def leaf(self, label, specs, body):
-        if label[0] != "update" or len(specs) != 3:
-            return
-        (c, _), (a, _), (b, _) = specs
-        inner = a.col_range[1] - a.col_range[0]
-        if c.kind == LOWRANK and a.kind == b.kind == DENSE and inner >= min(c.rows, c.cols) / 2:
-            c.kind = DENSE
-            c.data = c.data.value()
+    kind: str
+    x: object
+    a: object = None
+    b: object = None
 
 
-def _extent(op):
-    return max(op.row_range[1] - op.row_range[0], op.col_range[1] - op.col_range[0])
-
-
-class _Emit:
-    """Submits leaf kernels as strong tasks, recursion levels as parents.
-
-    A recursion level whose operands all span at most ``grain`` = n // (2 w)
-    rows and columns, n the order of the plan's matrix and w the runtime's
-    worker count, becomes one strong leaf task with the level's label and
-    regions that runs the level through ``_Inline``.  Below the grain a body
-    costs less than its task; above it a (2w) x (2w) block grid is left,
-    whose first trailing update alone holds (2w - 1)^2 independent tasks.
-    """
-
-    def __init__(self, runtime, plan):
-        self.rt = runtime
-        self.plan = plan
-        self.weak_parents = runtime.wd_er
-        self.grain = plan.matrix.rows // (2 * runtime.workers)
-
-    def _regions(self, specs, weak):
-        ranges = self.plan.skeleton.ranges
-        out = []
-        for obj, mode in specs:
-            lo, hi = ranges[obj.block]
-            out.append(Region(lo, hi, mode, weak=weak))
-        return out
-
-    def leaf(self, label, specs, body):
-        self.rt.submit(self._regions(specs, weak=False), body, label=_lbl(*label))
-
-    def parent(self, label, specs, spawn):
-        if all(_extent(obj) <= self.grain for obj, _ in specs):
-            self.leaf(label, specs, lambda: spawn(_Inline()))
-            return
-        self.rt.submit(
-            self._regions(specs, weak=self.weak_parents),
-            lambda: spawn(self),
-            label=_lbl(*label),
-            spawns=True,
-        )
+_PANELS = ("lpanel", "rpanel")
 
 
 def _lbl(kind, x, y=None):
     """A task's label: its kind and x's row and column ranges, then y's after ``<-``.
 
-    Executors take the ``(kind, x)`` or ``(kind, x, y)`` tuple; only ``_Emit``
-    formats it, for the tasks it creates.
+    ``_Emit`` labels an update or a panel op ``update`` x ``<-`` a, any other op by its kind and x.
     """
     (r0, r1), (c0, c1) = x.row_range, x.col_range
     label = f"{kind}[{r0}:{r1})x[{c0}:{c1})"
     return label if y is None else label + _lbl("<-", y)
 
 
-# -- triangular solves ---------------------------------------------------------------
+def _factor(ex, h):
+    """h := its L\\U factors, a dense leaf or a square grid with square diagonal blocks."""
+    if h.kind == LOWRANK:
+        raise StructureError(f"diagonal block {_lbl('lu', h)} is low-rank; expected dense")
+    if h.kind == DENSE and h.rows != h.cols:
+        raise StructureError(f"LU requires a square block, got {_lbl('lu', h)}")
+    if h.kind == PARTITIONED and len(h.data) != len(h.data[0]):
+        raise StructureError(f"LU requires a square grid at {_lbl('lu', h)}")
+    ex.run(_Op("lu", h), h.kind == DENSE)
+
+
+def _solve(ex, f, b, right):
+    """b := f^-1 b, or b := b f^-1 if ``right``, f a factored diagonal block.
+
+    On the left f acts as its unit lower factor, on the right as its upper
+    factor.  ``b`` is an H-node or a row (left) or column (right) window of
+    a leaf; against a partitioned factor a leaf is solved panel by panel, in
+    place.  The first solve body that reaches a low-rank leaf flushes it.
+    """
+    kind = "rsolve" if right else "lsolve"
+    if f.kind == DENSE and b.kind == PARTITIONED:
+        raise StructureError(f"dense factor against partitioned right-hand side {_lbl(kind, b)}")
+    ex.run(_Op(kind, b, f), f.kind == DENSE)
+
+
+def _update(ex, c, a, b):
+    """c := c - a @ b in H-arithmetic; c may be a node or a dense window.
+
+    A low-rank c, or a dense c with leaf operands, is one leaf op.
+    """
+    leaf = c.kind == LOWRANK or PARTITIONED not in (c.kind, a.kind, b.kind)
+    ex.run(_Op("update", c, a, b), leaf)
+
+
+def _expand(ex, op):
+    """Hand ``ex`` the ops of one recursion level of ``op`` in program order.
+
+    A solve visits a partitioned x transposed on the right, so both sides run
+    one block-row elimination.
+    """
+    kind, x, a, b = op
+    right = kind == "rsolve"
+    if kind == "lu":
+        nb = len(x.data)
+        for k in range(nb):
+            _factor(ex, x.child(k, k))
+            for j in range(k + 1, nb):
+                _solve(ex, x.child(k, k), x.child(k, j), False)
+            for i in range(k + 1, nb):
+                _solve(ex, x.child(k, k), x.child(i, k), True)
+            for i in range(k + 1, nb):
+                for j in range(k + 1, nb):
+                    _update(ex, x.child(i, j), x.child(i, k), x.child(k, j))
+    elif kind == "update":
+        c_part = x.kind == PARTITIONED
+        for i, j, rr, cc, pairs in _product_grid(a, b, x):
+            ci = x.child(i, j) if c_part else _slice(x, rr, cc)
+            for ap, bp in pairs:
+                _update(ex, ci, ap, bp)
+    elif x.kind == PARTITIONED:
+        m = len(x.data) if right else len(x.data[0])
+        xc = (lambda i, j: x.child(j, i)) if right else x.child
+        for i in range(len(a.data)):
+            for p in range(i):
+                for j in range(m):
+                    if right:
+                        _update(ex, xc(i, j), xc(p, j), a.child(p, i))
+                    else:
+                        _update(ex, xc(i, j), a.child(i, p), xc(p, j))
+            for j in range(m):
+                _solve(ex, a.child(i, i), xc(i, j), right)
+    else:
+        if right:
+            panels = [_Window(x, x.row_range, cols) for cols in _col_splits(a)]
+        else:
+            panels = [_Window(x, rows, x.col_range) for rows in _row_splits(a)]
+        for i, xi in enumerate(panels):
+            for p, xp in enumerate(panels[:i]):
+                ap = a.child(p, i) if right else a.child(i, p)
+                ex.run(_Op("rpanel" if right else "lpanel", xi, ap, xp), True)
+            _solve(ex, a.child(i, i), xi, right)
+
+
+# -- the leaf kernel -------------------------------------------------------------------------
 
 
 def _target(op, right):
-    """The array a triangular solve on a leaf or window overwrites in place.
-
-    That is the dense window, or of a low-rank payload the ``a`` rows (left
-    solve) or the transposed ``b`` rows (right solve).
-    """
+    """What a triangular solve on a leaf or window overwrites in place: the dense
+    window, or of a low-rank payload the ``a`` rows (left) or the transposed ``b`` rows (right)."""
     d = op.data
     if op.kind == DENSE:
         return d
@@ -311,152 +337,125 @@ def _flush(b, ctl, flops):
         b.data = recompress(b.data, ctl)
 
 
-def _solve(ex, f, b, right, ctl, flops):
-    """b := f^-1 b, or b := b f^-1 if ``right``, f a factored diagonal block.
-
-    On the left f acts as its unit lower factor, on the right as its upper
-    factor.  ``b`` is an H-node or a row (left) or column (right) window of
-    a leaf; against a partitioned factor a leaf is solved panel by panel, in
-    place.  A partitioned ``b`` is visited transposed on the right, so both
-    sides run one block-row elimination.  The first solve body that reaches a
-    low-rank leaf flushes it.
-    """
-    label = ("rsolve" if right else "lsolve", b)
-    if f.kind == DENSE:
-        if b.kind == PARTITIONED:
-            raise StructureError("dense factor against partitioned right-hand side")
-
-        def body():
-            _flush(b, ctl, flops)
-            x = _target(b, right)
-            (trsm_upper_right if right else trsm_lower_unit)(f.data, x)
-            flops.add(f.rows * f.rows * x.shape[0 if right else 1])
-
-        ex.leaf(label, [(f, "r"), (b, "rw")], body)
-        return
-
-    def spawn(ex):
-        if b.kind == PARTITIONED:
-            m = len(b.data) if right else len(b.data[0])
-            bc = (lambda i, j: b.child(j, i)) if right else b.child
-            for i in range(len(f.data)):
-                for p in range(i):
-                    for j in range(m):
-                        if right:
-                            _update(ex, bc(i, j), bc(p, j), f.child(p, i), ctl, flops)
-                        else:
-                            _update(ex, bc(i, j), f.child(i, p), bc(p, j), ctl, flops)
-                for j in range(m):
-                    _solve(ex, f.child(i, i), bc(i, j), right, ctl, flops)
-            return
-        if right:
-            panels = [_Window(b, b.row_range, cols) for cols in _col_splits(f)]
-        else:
-            panels = [_Window(b, rows, b.col_range) for rows in _row_splits(f)]
-        for i, bi in enumerate(panels):
-            for p, bp in enumerate(panels[:i]):
-                fip = f.child(p, i) if right else f.child(i, p)
-
-                def body(fip=fip, bi=bi, bp=bp):
-                    dst = _target(bi, right)
-                    src = _target(bp, right)
-                    _matvec_into(fip, src, dst, right=right, acc=gemm_update)
-                    flops.add(2 * dst.shape[0] * dst.shape[1] * src.shape[1 if right else 0])
-
-                ex.leaf(("update", bi, fip), [(fip, "r"), (b, "rw")], body)
-            _solve(ex, f.child(i, i), bi, right, ctl, flops)
-
-    ex.parent(label, [(b, "rw"), (f, "r")] if right else [(f, "r"), (b, "rw")], spawn)
-
-
-# -- multiply-accumulate ----------------------------------------------------------------
-
-
-def _update(ex, c, a, b, ctl, flops):
-    """c := c - a @ b in H-arithmetic; c may be a node or a dense window."""
-    c_part = c.kind == PARTITIONED
-    label = ("update", c, a)
-    specs = [(c, "rw"), (a, "r"), (b, "r")]
-
-    if c.kind == LOWRANK:
+def _kernel(op, ctl, flops):
+    """Run one leaf op, truncating with ``ctl`` and counting into ``flops``: every leaf task's body."""
+    kind, x, a, b = op
+    if kind == "lu":
+        lu_nopivot(x.data, block_path=_lbl("lu", x))
+        flops.add(2 * x.rows**3 // 3)
+    elif kind in ("lsolve", "rsolve"):
+        right = kind == "rsolve"
+        _flush(x, ctl, flops)
+        t = _target(x, right)
+        (trsm_upper_right if right else trsm_lower_unit)(a.data, t)
+        flops.add(a.rows * a.rows * t.shape[0 if right else 1])
+    elif kind in _PANELS:
+        right = kind == "rpanel"
+        dst, src = _target(x, right), _target(b, right)
+        _matvec_into(a, src, dst, right=right, acc=gemm_update)
+        flops.add(2 * dst.shape[0] * dst.shape[1] * src.shape[1 if right else 0])
+    elif x.kind == LOWRANK:
         # low-rank destination: append the product to the exact sum, or truncate a sum
         # that would reach half the block size now (dense); a dense pair forms no product
-        def body():
-            p, d = _multiply_lowrank(a, b), c.data
-            (m, n), inner = p.shape, a.col_range[1] - a.col_range[0]
-            if d.k + p.k >= min(m, n) / 2:
-                c.data = add_truncated(d, p.neg(), ctl)
-                flops.add(2 * m * n * (d.k + p.k) + 22 * min(m, n) ** 3)
-            elif p.k:
-                c.data = _Sum(np.hstack((d.a, -p.a)), np.hstack((d.b, p.b)))
-            formed = 0 if a.kind == b.kind == DENSE else p.k * (n if a.kind == LOWRANK else m)
-            flops.add(2 * formed * inner)
-
-        ex.leaf(label, specs, body)
-        return
-
-    if not c_part and PARTITIONED not in (a.kind, b.kind):
+        p, d = _multiply_lowrank(a, b), x.data
+        (m, n), inner = p.shape, a.col_range[1] - a.col_range[0]
+        if d.k + p.k >= min(m, n) / 2:
+            x.data = add_truncated(d, p.neg(), ctl)
+            flops.add(2 * m * n * (d.k + p.k) + 22 * min(m, n) ** 3)
+        elif p.k:
+            x.data = _Sum(np.hstack((d.a, -p.a)), np.hstack((d.b, p.b)))
+        formed = 0 if a.kind == b.kind == DENSE else p.k * (n if a.kind == LOWRANK else m)
+        flops.add(2 * formed * inner)
+    else:
         # dense destination, leaf operands: plain subtract of the product
-        def body():
-            dst = c.data
-            if a.kind == LOWRANK:
-                fa = a.data
-                gemm_update(dst, fa.a, _times(b, fa.b.T, right=True))
-                flops.add(2 * fa.k * (dst.shape[0] + dst.shape[1]) * dst.shape[1])
-            elif b.kind == LOWRANK:
-                fb = b.data
-                gemm_update(dst, _times(a, fb.a), fb.b.T)
-                flops.add(2 * fb.k * (dst.shape[0] + dst.shape[1]) * dst.shape[0])
-            else:
-                av = a.data
-                gemm_update(dst, av, b.data)
-                flops.add(2 * dst.shape[0] * dst.shape[1] * av.shape[1])
-
-        ex.leaf(label, specs, body)
-        return
-
-    def spawn(ex):
-        for i, j, rr, cc, pairs in _product_grid(a, b, c):
-            ci = c.child(i, j) if c_part else _slice(c, rr, cc)
-            for ap, bp in pairs:
-                _update(ex, ci, ap, bp, ctl, flops)
-
-    ex.parent(label, specs, spawn)
+        dst = x.data
+        if a.kind == LOWRANK:
+            fa = a.data
+            gemm_update(dst, fa.a, _times(b, fa.b.T, right=True))
+            flops.add(2 * fa.k * (dst.shape[0] + dst.shape[1]) * dst.shape[1])
+        elif b.kind == LOWRANK:
+            fb = b.data
+            gemm_update(dst, _times(a, fb.a), fb.b.T)
+            flops.add(2 * fb.k * (dst.shape[0] + dst.shape[1]) * dst.shape[0])
+        else:
+            av = a.data
+            gemm_update(dst, av, b.data)
+            flops.add(2 * dst.shape[0] * dst.shape[1] * av.shape[1])
 
 
-# -- factorization ----------------------------------------------------------------------
+# -- executors: ``run(op, leaf)`` takes a leaf op or a recursion level ---------------------
 
 
-def _factor(ex, h, ctl, flops):
-    label = ("lu", h)
-    if h.kind == DENSE:
-        if h.rows != h.cols:
-            raise StructureError(f"LU requires a square block, got {_lbl('lu', h)}")
+class _Inline:
+    """Runs each leaf op's kernel at once and expands each level in place."""
 
-        def body():
-            lu_nopivot(h.data, block_path=_lbl("lu", h))
-            flops.add(2 * h.rows**3 // 3)
+    def __init__(self, ctl, flops):
+        self.ctl = ctl
+        self.flops = flops
 
-        ex.leaf(label, [(h, "rw")], body)
-        return
-    if h.kind == LOWRANK:
-        raise StructureError(f"diagonal block {_lbl('lu', h)} is low-rank; expected dense")
+    def run(self, op, leaf):
+        if leaf:
+            _kernel(op, self.ctl, self.flops)
+        else:
+            _expand(self, op)
 
-    def spawn(ex):
-        nb = len(h.data)
-        if nb != len(h.data[0]):
-            raise StructureError(f"LU requires a square grid at {_lbl('lu', h)}")
-        for k in range(nb):
-            _factor(ex, h.child(k, k), ctl, flops)
-            for j in range(k + 1, nb):
-                _solve(ex, h.child(k, k), h.child(k, j), False, ctl, flops)
-            for i in range(k + 1, nb):
-                _solve(ex, h.child(k, k), h.child(i, k), True, ctl, flops)
-            for i in range(k + 1, nb):
-                for j in range(k + 1, nb):
-                    _update(ex, h.child(i, j), h.child(i, k), h.child(k, j), ctl, flops)
 
-    ex.parent(label, [(h, "rw")], spawn)
+class _Formats:
+    """Runs no kernel; stores dense each low-rank leaf that receives a dense x dense
+    product whose inner dimension reaches half the leaf's smaller side.
+
+    Such a product alone has that rank, so the update body would take the
+    half-block bound and an SVD whatever the leaf's rank.  Every update into
+    a leaf precedes its solve, which precedes its use as an operand, so the
+    operands' formats are final when the walk reaches an update.
+    """
+
+    def run(self, op, leaf):
+        kind, c, a, b = op
+        if not leaf:
+            _expand(self, op)
+        elif kind == "update" and c.kind == LOWRANK and a.kind == b.kind == DENSE:
+            if a.col_range[1] - a.col_range[0] >= min(c.rows, c.cols) / 2:
+                c.kind, c.data = DENSE, c.data.value()
+
+
+def _extent(op):
+    return max(op.row_range[1] - op.row_range[0], op.col_range[1] - op.col_range[0])
+
+
+class _Emit:
+    """Submits each leaf op as a strong task and each recursion level as a parent.
+
+    A task declares x's slots read-write and its operands' read-only (a
+    panel's b lies in x's leaf); a parent's accesses are weak under early
+    release.  A recursion level whose operands all span at most ``grain`` =
+    n // (2 w) rows and columns, n the order of the plan's matrix and w the
+    runtime's worker count, becomes one strong leaf task that expands the
+    level through ``_Inline``.  Below the grain a body costs less than its
+    task; above it a (2w) x (2w) block grid is left, whose first trailing
+    update alone holds (2w - 1)^2 independent tasks.
+    """
+
+    def __init__(self, runtime, plan):
+        self.rt = runtime
+        self.ranges = plan.skeleton.ranges
+        self.inline = _Inline(plan.truncation, plan.flops)
+        self.grain = plan.matrix.rows // (2 * runtime.workers)
+
+    def run(self, op, leaf):
+        kind, x, a, b = op
+        spawns = not leaf and any(_extent(o) > self.grain for o in (x, a, b) if o is not None)
+        weak = spawns and self.rt.wd_er
+        regions = [Region(*self.ranges[x.block], "rw", weak=weak)]
+        for o in (a,) if kind in _PANELS else (a, b):
+            if o is not None:
+                regions.append(Region(*self.ranges[o.block], "r", weak=weak))
+        if leaf:
+            body = partial(_kernel, op, self.inline.ctl, self.inline.flops)
+        else:
+            body = partial(_expand, self if spawns else self.inline, op)
+        label = _lbl("update" if kind in _PANELS else kind, x, None if b is None else a)
+        self.rt.submit(regions, body, label=label, spawns=spawns)
 
 
 def hlu_factorize(plan: HluPlan):
@@ -470,7 +469,7 @@ def hlu_factorize(plan: HluPlan):
     if h.rows != h.cols:
         raise StructureError("H-LU requires a square matrix")
     if plan.mode == SEQUENTIAL:
-        _factor(_Inline(), h, plan.truncation, plan.flops)
+        _factor(_Inline(plan.truncation, plan.flops), h)
         return None
     rt = Runtime(
         slots=plan.skeleton.size,
@@ -478,7 +477,7 @@ def hlu_factorize(plan: HluPlan):
         wd_er=plan.wd_er,
         seed=plan.seed,
     )
-    _factor(_Emit(rt, plan), h, plan.truncation, plan.flops)
+    _factor(_Emit(rt, plan), h)
     return rt.run()
 
 
@@ -487,7 +486,7 @@ def emit_task_graph(plan: HluPlan):
     rt = Runtime(
         slots=plan.skeleton.size, workers=plan.workers, wd_er=plan.wd_er, collect=True
     )
-    _factor(_Emit(rt, plan), plan.matrix, plan.truncation, plan.flops)
+    _factor(_Emit(rt, plan), plan.matrix)
     return rt.task_graph()
 
 

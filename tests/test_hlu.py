@@ -1,3 +1,4 @@
+import hashlib
 import re
 import threading
 from collections import Counter
@@ -9,11 +10,12 @@ from graphgen import oracle_edges
 from hluflow.blocks import (
     ADMISSIBLE,
     INADMISSIBLE,
+    PARTITIONED,
     BlockNode,
     build_block_tree,
     build_diagonal_2x2_tree,
 )
-from hluflow.clustering import build_cluster_tree
+from hluflow.clustering import Cluster, build_cluster_tree
 from hluflow.hmatrix import (
     DENSE,
     LOWRANK,
@@ -168,6 +170,107 @@ class TestSequentialDense:
             hlu_factorize(make_plan(h))
 
 
+def tree(*sons):
+    """A hand-built cluster over its sons, each a cluster or the (lo, hi) of a leaf cluster."""
+    box = np.zeros(1)  # the recursion never reads a bounding box
+    sons = tuple(c if isinstance(c, Cluster) else Cluster(*c, box, box) for c in sons)
+    return Cluster(sons[0].start, sons[-1].end, box, box, sons=sons)
+
+
+def grid(t, s, cells=None):
+    """A block over t x s partitioned into its sons' pairs: dense leaves, except
+    where ``cells`` maps (i, j) to another kind or to a block."""
+
+    def son(i, j):
+        k = (cells or {}).get((i, j), INADMISSIBLE)
+        return k if isinstance(k, BlockNode) else BlockNode(t.sons[i], s.sons[j], k)
+
+    sons = [[son(i, j) for j in range(len(s.sons))] for i in range(len(t.sons))]
+    return BlockNode(t, s, PARTITIONED, sons)
+
+
+def identity(block):
+    """The leaves of the identity, so every pivot the recursion meets is 1."""
+    if block.kind == ADMISSIBLE:
+        return LowRank.zeros(block.rows, block.cols)
+    return np.eye(block.rows, block.cols, block.row.start - block.col.start)
+
+
+def structure_case(name):
+    """A hand-built H-matrix the recursion rejects, and the block its error names."""
+    if name == "lowrank-diagonal":
+        t = tree((0, 4), (4, 8))
+        return build_hmatrix(grid(t, t, {(0, 0): ADMISSIBLE}), identity), "lu[0:4)x[0:4)"
+    if name == "non-square-dense-diagonal":
+        t, s = tree((0, 3), (3, 8)), tree((0, 5), (5, 8))
+        return build_hmatrix(grid(t, s), identity), "lu[0:3)x[0:5)"
+    if name == "non-square-grid":
+        t = tree(tree((0, 4), (4, 8)), (8, 16))
+        s = tree(tree((0, 2), (2, 4), (4, 8)), (8, 16))
+        inner = grid(t.sons[0], s.sons[0])  # 2 x 3
+        return build_hmatrix(grid(t, s, {(0, 0): inner}), identity), "lu[0:8)x[0:8)"
+    t = tree(tree((0, 2), (2, 4)), tree((4, 6), (6, 8)))
+    if name == "dense-factor-partitioned-rhs":
+        upper = grid(t.sons[0], t.sons[1])
+        return build_hmatrix(grid(t, t, {(0, 1): upper}), identity), "lsolve[0:4)x[4:8)"
+    # mismatched inner partitions: h(1, 0) splits its columns at 1, h(0, 1) its rows at 2
+    s = tree(tree((0, 1), (1, 4)), tree((4, 6), (6, 8)))
+    cells = {(0, 1): grid(t.sons[0], s.sons[1]), (1, 0): grid(t.sons[1], s.sons[0])}
+    return build_hmatrix(grid(t, s, cells), identity), "[4:8)x[0:4) @ [0:4)x[4:8)"
+
+
+LU_STRUCTURE_CASES = [
+    "lowrank-diagonal",
+    "non-square-dense-diagonal",
+    "non-square-grid",
+    "dense-factor-partitioned-rhs",
+]
+
+
+class TestStructureErrors:
+    """Each structure error of the recursion is a StructureError naming its block,
+    raised inline, by make_plan's format walk and from a worker of a parallel run."""
+
+    @pytest.mark.parametrize("name", LU_STRUCTURE_CASES)
+    def test_inline(self, name):
+        h, block = structure_case(name)
+        with pytest.raises(StructureError, match=re.escape(block)):
+            _factor(_Inline(TruncationControl(), FlopCounter()), h)
+
+    @pytest.mark.parametrize("name", LU_STRUCTURE_CASES)
+    def test_make_plan(self, name):
+        h, block = structure_case(name)
+        with pytest.raises(StructureError, match=re.escape(block)):
+            make_plan(h)
+
+    @pytest.mark.parametrize("name", LU_STRUCTURE_CASES)
+    def test_parallel_run(self, name, bounded):
+        # a hand-built plan skips make_plan's walk, so a worker meets the error
+        h, block = structure_case(name)
+        before = threading.active_count()
+        plan = HluPlan(h, build_skeleton(h), TruncationControl(), mode="parallel", workers=2)
+        err = bounded(lambda: hlu_factorize(plan))
+        assert isinstance(err, StructureError) and block in str(err)
+        assert threading.active_count() == before  # every worker joined
+
+    def test_mismatched_inner_partitions(self, bounded):
+        # an LU reaches a dense factor against a partitioned right-hand side
+        # first, so the update is driven directly, inline and on 2 workers
+        h, block = structure_case("mismatched-inner-partitions")
+        c, a, b = h.child(1, 1), h.child(1, 0), h.child(0, 1)
+        with pytest.raises(StructureError, match=re.escape(block)):
+            _update(_Inline(TruncationControl(), FlopCounter()), c, a, b)
+        with pytest.raises(StructureError, match=re.escape("lsolve[0:4)x[4:8)")):
+            make_plan(h)
+        sk = build_skeleton(h)
+        rt = Runtime(slots=sk.size, workers=2)
+        _update(_Emit(rt, HluPlan(h, sk, TruncationControl())), c, a, b)
+        before = threading.active_count()
+        err = bounded(rt.run)
+        assert isinstance(err, StructureError) and block in str(err)
+        assert threading.active_count() == before
+
+
 class TestSequentialMixed:
     def test_reconstruction_with_truncation(self):
         h = mixed_matrix(192)
@@ -214,7 +317,7 @@ class TestSolves:
             leaf.data[:] = np.eye(32)[r0:r1, c0:c1]
         b = dense2x2_matrix(32, 1, seed=2)
         want = flatten(b).copy()
-        _solve(_Inline(), l, b, False, TruncationControl(), FlopCounter())
+        _solve(_Inline(TruncationControl(), FlopCounter()), l, b, False)
         assert np.allclose(flatten(b), want)
 
     @SOLVE_CASES
@@ -225,7 +328,7 @@ class TestSolves:
         lfull, _ = lu_split(flatten(h))
         b = solve_rhs(nb, 8, lowrank, h)
         bfull = flatten(b).copy()
-        _solve(_Inline(), h, b, False, TruncationControl(1e-10), FlopCounter())
+        _solve(_Inline(TruncationControl(1e-10), FlopCounter()), h, b, False)
         want = np.linalg.solve(lfull, bfull)
         got = flatten(b)
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
@@ -237,7 +340,7 @@ class TestSolves:
         _, ufull = lu_split(flatten(h))
         b = solve_rhs(nb, 9, lowrank, h)
         bfull = flatten(b).copy()
-        _solve(_Inline(), h, b, True, TruncationControl(1e-10), FlopCounter())
+        _solve(_Inline(TruncationControl(1e-10), FlopCounter()), h, b, True)
         want = bfull @ np.linalg.inv(ufull)
         got = flatten(b)
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
@@ -247,7 +350,7 @@ class TestSolves:
         a = mixed_matrix(128, leafsize=16, eta=0.5, seed=11)
         b = mixed_matrix(128, leafsize=16, eta=0.5, seed=12)
         want = flatten(c) - flatten(a) @ flatten(b)
-        _update(_Inline(), c, a, b, TruncationControl(1e-10), FlopCounter())
+        _update(_Inline(TruncationControl(1e-10), FlopCounter()), c, a, b)
         got = flatten(c)
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
@@ -261,7 +364,7 @@ class TestSolves:
         b = lowrank_leaf(u.block, k, seed=6)
         want = flatten(b) @ np.linalg.inv(ufull)
         flops = FlopCounter()
-        _solve(_Inline(), u, b, True, TruncationControl(), flops)
+        _solve(_Inline(TruncationControl(), flops), u, b, True)
         assert flops.total == n * n * k
         assert np.linalg.norm(flatten(b) - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -270,7 +373,7 @@ class TestSolves:
         a = dense2x2_matrix(128, 3, seed=21)
         b = dense2x2_matrix(128, 3, seed=22)
         want = flatten(c) - flatten(a) @ flatten(b)
-        _update(_Inline(), c, a, b, TruncationControl(), FlopCounter())
+        _update(_Inline(TruncationControl(), FlopCounter()), c, a, b)
         assert np.linalg.norm(flatten(c) - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("right", [False, True], ids=["left", "right"])
@@ -280,7 +383,7 @@ class TestSolves:
         lfull, ufull = lu_split(flatten(h))
         b = dense2x2_matrix(256, 3, seed=24)
         bfull = flatten(b).copy()
-        _solve(_Inline(), h, b, right, TruncationControl(), FlopCounter())
+        _solve(_Inline(TruncationControl(), FlopCounter()), h, b, right)
         if right:
             want = bfull @ np.linalg.inv(ufull)
         else:
@@ -293,7 +396,7 @@ class TestSolves:
         root = build_block_tree(tree, tree, 1e9)  # single admissible leaf
         zero = build_hmatrix(root)  # rank 0
         before = flatten(c).copy()
-        _update(_Inline(), c, zero, zero, TruncationControl(1e-10), FlopCounter())
+        _update(_Inline(TruncationControl(1e-10), FlopCounter()), c, zero, zero)
         assert np.array_equal(flatten(c), before)
 
 
@@ -311,10 +414,10 @@ class TestAccumulatedUpdates:
         if emit:
             sk = build_skeleton(h)
             rt = Runtime(slots=sk.size, workers=2)
-            _update(_Emit(rt, HluPlan(c, sk, ctl)), c, a, b, ctl, FlopCounter())
+            _update(_Emit(rt, HluPlan(c, sk, ctl)), c, a, b)
             rt.run()
         else:
-            _update(_Inline(), c, a, b, ctl, FlopCounter())
+            _update(_Inline(ctl, FlopCounter()), c, a, b)
         lowrank = [leaf for leaf in c.leaves() if leaf.kind == LOWRANK]
         assert lowrank
         for leaf in lowrank:
@@ -443,7 +546,7 @@ class TestExactProducts:
 
         # the stored sum itself, before any flush, holds none of the operands' memory
         c = lowrank_leaf(block, 2, seed=33)
-        _update(_Inline(), c, a, b, TruncationControl(1e-10), FlopCounter())
+        _update(_Inline(TruncationControl(1e-10), FlopCounter()), c, a, b)
         for x in (c.data.a, c.data.b):
             assert not any(np.shares_memory(x, y) for y in (*payloads(a), *payloads(b)))
 
@@ -558,7 +661,7 @@ class TestTaskEmission:
         ctl = TruncationControl(1e-10)
         b = h.child(0, 1)
         f = h.child(1, 1) if right else h.child(0, 0)
-        _solve(_Emit(rt, HluPlan(b, sk, ctl)), f, b, right, ctl, FlopCounter())
+        _solve(_Emit(rt, HluPlan(b, sk, ctl)), f, b, right)
         tasks = rt.tasks
         parent = tasks[0]
         subs = [t for t in tasks if t.parent is parent]
@@ -809,10 +912,78 @@ class TestDagSoundness:
         for wd_er in (True, False):
             rt = Runtime(slots=sk.size, workers=4, wd_er=wd_er)
             plan = make_plan(h.copy(), mode="parallel", workers=4, wd_er=wd_er)
-            _factor(_Emit(rt, plan), plan.matrix, plan.truncation, plan.flops)
+            _factor(_Emit(rt, plan), plan.matrix)
             spans[wd_er] = rt.run_virtual().makespan
         assert spans[True] <= spans[False]
         assert spans[True] < spans[False]  # strictly better on this structure
+
+# (tasks, spawners, edges, weak edges) with wd_er, then the sha256 of the sorted
+# "src -> dst (weak)" edge lines with wd_er and without; without it no edge is weak
+GRAPH_SHAPES = {
+    ("dense2x2", 1): (
+        (6, 1, 5, 0),
+        "459359ce16833993f5e25c5d01c011c83361478a1af9c5ebf3724c72958904e7",
+        "459359ce16833993f5e25c5d01c011c83361478a1af9c5ebf3724c72958904e7",
+    ),
+    ("dense2x2", 2): (
+        (46, 12, 33, 11),
+        "e283b36e058e9c577bd0a0b130545f706e651ed56e2f680d70bb46660ab52387",
+        "54e13345e3ca31069ab33eefa0872b97fd1433b661fe64e0fbd4b7e93ba3e3b5",
+    ),
+    ("dense2x2", 4): (
+        (86, 22, 65, 21),
+        "ede74f24e5967c54c795632cc7da2380bdc61481863c38c8403715465f0cbbf8",
+        "2176cf0bcd2c77207b3c3c8501038ed9a85c23bc68209864accc1369fb285ca9",
+    ),
+    ("dense2x2", 16): (
+        (86, 22, 65, 21),
+        "ede74f24e5967c54c795632cc7da2380bdc61481863c38c8403715465f0cbbf8",
+        "2176cf0bcd2c77207b3c3c8501038ed9a85c23bc68209864accc1369fb285ca9",
+    ),
+    ("bem1d-512", 1): (
+        (6, 1, 5, 0),
+        "15ba01dd3066548f67c4fa9bf5547f5f793f06050461485e34fe64d53fc09c0a",
+        "15ba01dd3066548f67c4fa9bf5547f5f793f06050461485e34fe64d53fc09c0a",
+    ),
+    ("bem1d-512", 2): (
+        (36, 6, 27, 5),
+        "c895155aadfc913bd64842f4fb297a9e6631b559989f58e39bb50cd09d5e48ef",
+        "f3bba7747de15cf572965dd7c4cb1e73d6236448028fd705173d636e71dd4a57",
+    ),
+    ("bem1d-512", 4): (
+        (258, 44, 157, 33),
+        "2de36c7acce048ab449ec9e4fdd6836d12ad0bb7af490a1c9a90673920bd0996",
+        "ccf8021cb5de58b7c751e35d0d0e56a43e1b68cb11d50e6d3cdd28268a5573a1",
+    ),
+    ("bem1d-512", 16): (
+        (1100, 192, 579, 131),
+        "44a8e36c56abe97cd27428fd388a25361a374337e0d8d59203b3882b9be46d7c",
+        "6246989447986e467c50f1d6c198e8452251e2f62a324c58ac47c64fd372bb36",
+    ),
+}
+
+
+@pytest.mark.parametrize("wd_er", [True, False], ids=["wd_er", "taskwait"])
+@pytest.mark.parametrize("case, workers", list(GRAPH_SHAPES))
+def test_emitted_graph_shape(case, workers, wd_er):
+    # the emitted graph, edge for edge, as it was before operations became records
+    if case == "dense2x2":
+        h = dense2x2_matrix(256, 3)
+    else:
+        h = make_bem_case(1, 512, eta=0.5, leafsize=32, eps=1e-6).hmatrix
+    graph = emit_task_graph(
+        make_plan(h, TruncationControl(1e-6), mode="parallel", workers=workers, wd_er=wd_er)
+    )
+    counts, with_er, without_er = GRAPH_SHAPES[case, workers]
+    lines = sorted(f"{e.src.label} -> {e.dst.label} ({e.weak})" for e in graph.edges)
+    assert (
+        len(graph.tasks),
+        sum(t.spawns for t in graph.tasks),
+        len(graph.edges),
+        sum(e.weak for e in graph.edges),
+    ) == (counts if wd_er else counts[:3] + (0,))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (with_er if wd_er else without_er)
 
 
 def test_sequential_mode_uses_no_runtime(monkeypatch):
