@@ -114,30 +114,34 @@ def _plan_for(cfg: BenchConfig, h, mode):
 
 
 def _timed_runs(cfg, template, mode):
-    """Times of ``cfg.repetitions`` factorizations of copies of ``template``,
-    the last factored copy and its flop count."""
-    times = []
+    """Times of ``cfg.repetitions`` factorizations of copies of ``template`` and
+    of their ``make_plan`` calls, the last factored copy and its flop count."""
+    times, plan_times = [], []
     for _ in range(cfg.repetitions):
         h = template.copy()
-        plan = _plan_for(cfg, h, mode)
         t0 = time.perf_counter()
+        plan = _plan_for(cfg, h, mode)
+        t1 = time.perf_counter()
         hlu_factorize(plan)
-        times.append(time.perf_counter() - t0)
-    return times, h, plan.flops.total
+        times.append(time.perf_counter() - t1)
+        plan_times.append(t1 - t0)
+    return times, plan_times, h, plan.flops.total
 
 
 def run_bench(cfg: BenchConfig) -> dict:
     """Build the case, factorize per config, probe the residual.
 
     Returns one JSON-ready row: the config's fields, then ``times`` (one per
-    repetition), their median ``time``, the median sequential time over it as
-    ``speedup`` (1.0 in seq mode), ``flops``, ``gflops`` at the fastest
-    repetition, the probe ``residual`` and the largest rank of a low-rank
-    leaf of the factors, ``peak_rank``.
+    repetition), their median ``time``, the median ``plan_time`` of the
+    ``make_plan`` calls (formats and coalesced storage, outside ``time``),
+    the median sequential time over ``time`` as ``speedup`` (1.0 in seq
+    mode), ``flops``, ``gflops`` at the fastest repetition, the probe
+    ``residual`` and the largest rank of a low-rank leaf of the factors,
+    ``peak_rank``.
     """
     cfg.validate()
     template = build_case(cfg)
-    times, factored, counted = _timed_runs(cfg, template, cfg.mode)
+    times, plan_times, factored, counted = _timed_runs(cfg, template, cfg.mode)
     median = statistics.median(times)
     speedup = 1.0
     if cfg.mode == "par":
@@ -148,6 +152,7 @@ def run_bench(cfg: BenchConfig) -> dict:
         **asdict(cfg),
         "times": times,
         "time": median,
+        "plan_time": statistics.median(plan_times),
         "speedup": speedup,
         "flops": flops,
         "gflops": flops / min(times) / 1e9,

@@ -19,7 +19,9 @@ Products are exact; a low-rank destination sums its updates in a fixed source
 order and is truncated only by its flush, just before its triangular solve, or
 at the half-block bound; parallel runs match the sequential result bit for bit.
 Leaf formats are fixed by ``make_plan`` before any run: it stores dense each
-low-rank leaf that a dense x dense update alone would push to that bound.
+low-rank leaf that a dense x dense update alone would push to that bound,
+and coalesces each small all-dense node into one array that the recursion
+factors as one dense leaf: storage changes shape, its regions do not.
 """
 
 from __future__ import annotations
@@ -75,6 +77,11 @@ class HluPlan:
     wd_er: bool = True
     seed: int = 0
     flops: FlopCounter = field(default_factory=FlopCounter)
+    coarse: HMatrix | None = None  # the tree the recursion factors; default ``matrix``
+
+    def __post_init__(self):
+        if self.coarse is None:
+            self.coarse = self.matrix
 
 
 def make_plan(
@@ -85,19 +92,28 @@ def make_plan(
     wd_er: bool = True,
     seed: int = 0,
 ) -> HluPlan:
-    """Fix the formats of ``h``'s leaves; bundle it with its skeleton and settings.
+    """Fix the formats and storage of ``h``'s leaves; bundle it with its skeleton,
+    the tree the recursion factors and the settings.
 
     One bodiless walk of the recursion in program order (``_Formats``) stores
     dense, in ``h`` and not in the matrices it shares blocks with, each
     low-rank leaf that a dense x dense update would push to the half-block
-    bound.  Program order, and so each format, is the same in every mode and
-    for any ``workers`` and ``wd_er``.
+    bound.  Then each largest partitioned node whose leaves are all dense
+    and smaller than ``_COALESCE_BELOW`` rows and columns, and whose larger
+    side is at most n // 4 (the grain of 2 workers), becomes one array
+    (``_coalesce``): ``h`` keeps its block tree, its leaves views into those
+    arrays, and ``plan.coarse`` holds each such node as one dense leaf.  All
+    of this is the same in every mode and for any ``workers`` and ``wd_er``.
     """
     if mode not in (SEQUENTIAL, PARALLEL):
         raise ValueError(f"unknown mode {mode!r}")
     ctl = truncation if truncation is not None else TruncationControl()
+    coarse = h
     if h.rows == h.cols:
-        _factor(_Formats(), h)
+        try:
+            _factor(_Formats(), h)
+        finally:
+            coarse = _coalesce(h, h.rows // 4)
     return HluPlan(
         matrix=h,
         skeleton=build_skeleton(h),
@@ -106,7 +122,40 @@ def make_plan(
         workers=workers,
         wd_er=wd_er,
         seed=seed,
+        coarse=coarse,
     )
+
+
+# Leaves of this many rows or columns repay a BLAS call on their own (see
+# lowrank._GEMM_MIN_WORK); smaller ones are worth coalescing.
+_COALESCE_BELOW = 128
+
+
+def _coalesce(h, side):
+    """A tree over ``h``'s blocks and leaves, with each largest qualifying node (see
+    ``make_plan``) one dense leaf: an array the leaves below it become views of.
+    The factors of a leaf ``_Formats`` stored dense are multiplied straight into
+    that array, or into the leaf's own."""
+    if h.kind != PARTITIONED:
+        if h.kind == DENSE and isinstance(h.data, LowRank):
+            h.data = h.data.value()
+        return h
+    leaves = h.leaves() if max(h.rows, h.cols) <= side else ()
+    if leaves and all(
+        leaf.kind == DENSE and max(leaf.rows, leaf.cols) < _COALESCE_BELOW for leaf in leaves
+    ):
+        block = np.empty((h.rows, h.cols))
+        r0, c0 = h.row_range[0], h.col_range[0]
+        for leaf in leaves:
+            (i0, i1), (j0, j1) = leaf.row_range, leaf.col_range
+            view, d = block[i0 - r0 : i1 - r0, j0 - c0 : j1 - c0], leaf.data
+            if isinstance(d, LowRank):
+                np.matmul(d.a, d.b.T, out=view)
+            else:
+                view[...] = d
+            leaf.data = view
+        return HMatrix(h.block, DENSE, block)
+    return HMatrix(h.block, PARTITIONED, [[_coalesce(c, side) for c in row] for row in h.data])
 
 
 # -- operands -----------------------------------------------------------------
@@ -244,12 +293,12 @@ def _solve(ex, f, b, right):
     On the left f acts as its unit lower factor, on the right as its upper
     factor.  ``b`` is an H-node or a row (left) or column (right) window of
     a leaf; against a partitioned factor a leaf is solved panel by panel, in
-    place.  The first solve body that reaches a low-rank leaf flushes it.
+    place, and against a dense factor a partitioned b block by block, the
+    factor cut into windows at b's splits.  The first solve body that
+    reaches a low-rank leaf flushes it.
     """
-    kind = "rsolve" if right else "lsolve"
-    if f.kind == DENSE and b.kind == PARTITIONED:
-        raise StructureError(f"dense factor against partitioned right-hand side {_lbl(kind, b)}")
-    ex.run(_Op(kind, b, f), f.kind == DENSE)
+    leaf = f.kind == DENSE and b.kind != PARTITIONED
+    ex.run(_Op("rsolve" if right else "lsolve", b, f), leaf)
 
 
 def _update(ex, c, a, b):
@@ -289,15 +338,17 @@ def _expand(ex, op):
     elif x.kind == PARTITIONED:
         m = len(x.data) if right else len(x.data[0])
         xc = (lambda i, j: x.child(j, i)) if right else x.child
-        for i in range(len(a.data)):
+        cuts = _col_splits(x) if right else _row_splits(x)
+        ac = a.child if a.kind == PARTITIONED else (lambda i, j: _Window(a, cuts[i], cuts[j]))
+        for i in range(len(cuts)):
             for p in range(i):
                 for j in range(m):
                     if right:
-                        _update(ex, xc(i, j), xc(p, j), a.child(p, i))
+                        _update(ex, xc(i, j), xc(p, j), ac(p, i))
                     else:
-                        _update(ex, xc(i, j), a.child(i, p), xc(p, j))
+                        _update(ex, xc(i, j), ac(i, p), xc(p, j))
             for j in range(m):
-                _solve(ex, a.child(i, i), xc(i, j), right)
+                _solve(ex, ac(i, i), xc(i, j), right)
     else:
         if right:
             panels = [_Window(x, x.row_range, cols) for cols in _col_splits(a)]
@@ -322,10 +373,27 @@ def _target(op, right):
     return d.b.T if right else d.a
 
 
-class _Sum(LowRank):
-    """The exact sum of the updates a low-rank leaf accumulated, not yet truncated."""
+class _Sum:
+    """The exact sum of the updates a low-rank leaf accumulated, not yet truncated.
 
-    __slots__ = ()
+    Reads like a LowRank but keeps its factors as lists of parts, which ``a``
+    and ``b`` concatenate once per truncation instead of once per update."""
+
+    __slots__ = ("a_parts", "b_parts", "k", "shape")
+
+    def __init__(self, x):
+        self.a_parts, self.b_parts, self.k, self.shape = [x.a], [x.b], x.k, x.shape
+
+    def sub(self, p):
+        """This sum minus the LowRank p, keeping none of p's memory."""
+        self.a_parts.append(-p.a)
+        self.b_parts.append(p.b.copy())
+        self.k += p.k
+        return self
+
+    a = property(lambda self: np.hstack(self.a_parts))
+    b = property(lambda self: np.hstack(self.b_parts))
+    value = LowRank.value
 
 
 def _flush(b, ctl, flops):
@@ -346,9 +414,9 @@ def _kernel(op, ctl, flops):
     elif kind in ("lsolve", "rsolve"):
         right = kind == "rsolve"
         _flush(x, ctl, flops)
-        t = _target(x, right)
-        (trsm_upper_right if right else trsm_lower_unit)(a.data, t)
-        flops.add(a.rows * a.rows * t.shape[0 if right else 1])
+        f, t = a.data, _target(x, right)
+        (trsm_upper_right if right else trsm_lower_unit)(f, t)
+        flops.add(f.shape[0] ** 2 * t.shape[0 if right else 1])
     elif kind in _PANELS:
         right = kind == "rpanel"
         dst, src = _target(x, right), _target(b, right)
@@ -363,7 +431,7 @@ def _kernel(op, ctl, flops):
             x.data = add_truncated(d, p.neg(), ctl)
             flops.add(2 * m * n * (d.k + p.k) + 22 * min(m, n) ** 3)
         elif p.k:
-            x.data = _Sum(np.hstack((d.a, -p.a)), np.hstack((d.b, p.b)))
+            x.data = (d if isinstance(d, _Sum) else _Sum(d)).sub(p)
         formed = 0 if a.kind == b.kind == DENSE else p.k * (n if a.kind == LOWRANK else m)
         flops.add(2 * formed * inner)
     else:
@@ -401,13 +469,14 @@ class _Inline:
 
 
 class _Formats:
-    """Runs no kernel; stores dense each low-rank leaf that receives a dense x dense
+    """Runs no kernel; marks dense each low-rank leaf that receives a dense x dense
     product whose inner dimension reaches half the leaf's smaller side.
 
     Such a product alone has that rank, so the update body would take the
     half-block bound and an SVD whatever the leaf's rank.  Every update into
     a leaf precedes its solve, which precedes its use as an operand, so the
-    operands' formats are final when the walk reaches an update.
+    operands' formats are final when the walk reaches an update.  The leaf
+    keeps its factors until ``_coalesce`` writes their product.
     """
 
     def run(self, op, leaf):
@@ -416,7 +485,7 @@ class _Formats:
             _expand(self, op)
         elif kind == "update" and c.kind == LOWRANK and a.kind == b.kind == DENSE:
             if a.col_range[1] - a.col_range[0] >= min(c.rows, c.cols) / 2:
-                c.kind, c.data = DENSE, c.data.value()
+                c.kind = DENSE
 
 
 def _extent(op):
@@ -459,17 +528,16 @@ class _Emit:
 
 
 def hlu_factorize(plan: HluPlan):
-    """Factorize the plan's matrix in place.
+    """Factorize the plan's matrix in place, by the recursion over ``plan.coarse``.
 
     Sequential mode uses no runtime at all and returns None; parallel mode
     runs the emitted tasks and returns their TaskGraph: the tasks in id order
     with their timings, and the edges their region chains enforced.
     """
-    h = plan.matrix
-    if h.rows != h.cols:
+    if plan.matrix.rows != plan.matrix.cols:
         raise StructureError("H-LU requires a square matrix")
     if plan.mode == SEQUENTIAL:
-        _factor(_Inline(plan.truncation, plan.flops), h)
+        _factor(_Inline(plan.truncation, plan.flops), plan.coarse)
         return None
     rt = Runtime(
         slots=plan.skeleton.size,
@@ -477,7 +545,7 @@ def hlu_factorize(plan: HluPlan):
         wd_er=plan.wd_er,
         seed=plan.seed,
     )
-    _factor(_Emit(rt, plan), h)
+    _factor(_Emit(rt, plan), plan.coarse)
     return rt.run()
 
 
@@ -486,7 +554,7 @@ def emit_task_graph(plan: HluPlan):
     rt = Runtime(
         slots=plan.skeleton.size, workers=plan.workers, wd_er=plan.wd_er, collect=True
     )
-    _factor(_Emit(rt, plan), plan.matrix)
+    _factor(_Emit(rt, plan), plan.coarse)
     return rt.task_graph()
 
 

@@ -140,7 +140,8 @@ def lu_nopivot(a, block_path=""):
 
     The diagonal of L is implied.  Pivots with magnitude at most
     _PIVOT_RTOL times the largest entry of the input abort with
-    SingularBlockError rather than producing garbage.  Blocked recursion
+    SingularBlockError, naming the pivot's row within the block, rather
+    than producing garbage.  Blocked recursion
     keeps the bulk of the work in matrix-matrix products.
     """
     n = a.shape[0]
@@ -148,34 +149,35 @@ def lu_nopivot(a, block_path=""):
         raise ValueError("LU requires a square block")
     pivot_tol = _PIVOT_RTOL * float(np.max(np.abs(a))) if n else 0.0
 
-    def base(v):
+    def base(v, row):
         for j in range(v.shape[0]):
             p = v[j, j]
             if abs(p) <= pivot_tol:
                 raise SingularBlockError(
-                    f"pivot {p:.3e} below tolerance {pivot_tol:.3e} in block {block_path or '<root>'}",
+                    f"pivot {p:.3e} below tolerance {pivot_tol:.3e} in row {row + j} of block "
+                    f"{block_path or '<root>'}",
                     block_path,
                 )
             v[j + 1 :, j] /= p
             v[j + 1 :, j + 1 :] -= np.outer(v[j + 1 :, j], v[j, j + 1 :])
 
-    def rec(v):
+    def rec(v, row):
         m = v.shape[0]
         if m <= _LU_BASE:
-            base(v)
+            base(v, row)
             return
         h = m // 2
         a11 = v[:h, :h]
         a12 = v[:h, h:]
         a21 = v[h:, :h]
         a22 = v[h:, h:]
-        rec(a11)
+        rec(a11, row)
         trsm_lower_unit(a11, a12)
         trsm_upper_right(a11, a21)
         gemm_update(a22, a21, a12)
-        rec(a22)
+        rec(a22, row + h)
 
-    rec(a)
+    rec(a, 0)
     return a
 
 
@@ -199,11 +201,11 @@ def _openblas():
 # The OpenBLAS file the kernels call, GIL released per call, or "scipy" without it.
 BLAS_LIBRARY, _dgemm, _dtrsm, _set_threads = _openblas()
 _ROW, _COL, _NO, _T, _UP, _LO, _NONUNIT, _UNIT, _LEFT, _RIGHT = 101, 102, 111, 112, 121, 122, 131, 132, 141, 142
-# Per call (min of 5; one / two BLAS threads) the binding takes 29-30 / 29-31 us
-# on a 64^3 product and 140-142 / 82-92 us on 128^3, numpy's c -= a @ b 17-18 /
-# 17-18 us and 135-141 / 93-103 us: the ctypes call's fixed cost, about 12 us, is
-# repaid only from about 128^3, where numpy's temporary product costs as much.
-# Smaller products go to numpy (64x64x3: 4-6 against 11-17 us).  trsm has no
+# Alone and cache-hot (one BLAS thread, min of 5) the binding takes 26 / 47 / 119 us
+# on a 64^3 / 96^3 / 128^3 product and numpy's c -= a @ b 12.5 / 40 / 133 us, but
+# inside the factorization 2**20 or 2**21 was no faster than 2**18: paired in-process
+# runs read bem3d seq 1-3% slower, other workloads and modes within 5% either way.
+# Far smaller products go to numpy (64x64x3: 6.6 against 19 us).  trsm has no
 # threshold: scipy's triangular solve copies b, so the binding is always cheaper.
 _GEMM_MIN_WORK = 2**18
 

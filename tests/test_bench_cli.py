@@ -46,7 +46,7 @@ class TestBenchConfig:
             BenchConfig(mode="hybrid").validate()
 
 
-MEASURES = ("times", "time", "speedup", "flops", "gflops", "residual", "peak_rank")
+MEASURES = ("times", "time", "plan_time", "speedup", "flops", "gflops", "residual", "peak_rank")
 
 
 class TestRunBench:
@@ -59,6 +59,7 @@ class TestRunBench:
         assert res["flops"] == 2 * 256**3 / 3
         assert len(res["times"]) == 2
         assert res["time"] == statistics.median(res["times"])
+        assert res["plan_time"] > 0
         assert res["peak_rank"] == 0
 
     def test_dense_par_speedup_field(self):
@@ -105,7 +106,7 @@ class TestTables:
         rows = []
         for _ in range(2):
             row = run_bench(BenchConfig(**json.loads(cfg_text)).validate())
-            rows.append({k: v for k, v in row.items() if k not in ("times", "time", "gflops", "speedup")})
+            rows.append({k: v for k, v in row.items() if k not in ("times", "time", "plan_time", "gflops", "speedup")})
         assert rows[0] == rows[1]
 
 
@@ -244,7 +245,7 @@ class TestCli:
              "--workers", "2", "--repetitions", "1"]
         ))
         assert code == EXIT_NUMERICAL
-        assert "lu[0:32)x[0:32)" in capsys.readouterr().err
+        assert "row 0 of block lu[0:64)x[0:64)" in capsys.readouterr().err  # a coalesced block
 
     @pytest.mark.skipif(BLAS_LIBRARY == "scipy", reason="numpy ships no OpenBLAS here")
     @pytest.mark.parametrize("user", [None, "2"], ids=["unset", "user-set"])

@@ -34,6 +34,7 @@ from hluflow.hlu import (
     _flush,
     _Inline,
     _solve,
+    _Sum,
     _update,
     emit_task_graph,
     hlu_factorize,
@@ -158,7 +159,9 @@ class TestSequentialDense:
         plan = make_plan(h, mode="parallel", workers=workers, wd_er=wd_er)
         err = bounded(lambda: hlu_factorize(plan))
         assert isinstance(err, SingularBlockError)
-        assert err.block_path == "lu[0:32)x[0:32)"
+        # the first diagonal 2x2 of 32-point leaves is one coalesced block
+        assert err.block_path == "lu[0:64)x[0:64)"
+        assert "row 0 of block lu[0:64)x[0:64)" in str(err)
         assert threading.active_count() == before  # every worker joined
 
     def test_non_square_rejected(self):
@@ -209,11 +212,8 @@ def structure_case(name):
         s = tree(tree((0, 2), (2, 4), (4, 8)), (8, 16))
         inner = grid(t.sons[0], s.sons[0])  # 2 x 3
         return build_hmatrix(grid(t, s, {(0, 0): inner}), identity), "lu[0:8)x[0:8)"
-    t = tree(tree((0, 2), (2, 4)), tree((4, 6), (6, 8)))
-    if name == "dense-factor-partitioned-rhs":
-        upper = grid(t.sons[0], t.sons[1])
-        return build_hmatrix(grid(t, t, {(0, 1): upper}), identity), "lsolve[0:4)x[4:8)"
     # mismatched inner partitions: h(1, 0) splits its columns at 1, h(0, 1) its rows at 2
+    t = tree(tree((0, 2), (2, 4)), tree((4, 6), (6, 8)))
     s = tree(tree((0, 1), (1, 4)), tree((4, 6), (6, 8)))
     cells = {(0, 1): grid(t.sons[0], s.sons[1]), (1, 0): grid(t.sons[1], s.sons[0])}
     return build_hmatrix(grid(t, s, cells), identity), "[4:8)x[0:4) @ [0:4)x[4:8)"
@@ -223,7 +223,6 @@ LU_STRUCTURE_CASES = [
     "lowrank-diagonal",
     "non-square-dense-diagonal",
     "non-square-grid",
-    "dense-factor-partitioned-rhs",
 ]
 
 
@@ -254,13 +253,14 @@ class TestStructureErrors:
         assert threading.active_count() == before  # every worker joined
 
     def test_mismatched_inner_partitions(self, bounded):
-        # an LU reaches a dense factor against a partitioned right-hand side
-        # first, so the update is driven directly, inline and on 2 workers
+        # an LU solves both panels against the dense h(0, 0), then meets the
+        # mismatch in its update; the update is also driven directly, inline
+        # and on 2 workers
         h, block = structure_case("mismatched-inner-partitions")
         c, a, b = h.child(1, 1), h.child(1, 0), h.child(0, 1)
         with pytest.raises(StructureError, match=re.escape(block)):
             _update(_Inline(TruncationControl(), FlopCounter()), c, a, b)
-        with pytest.raises(StructureError, match=re.escape("lsolve[0:4)x[4:8)")):
+        with pytest.raises(StructureError, match=re.escape(block)):
             make_plan(h)
         sk = build_skeleton(h)
         rt = Runtime(slots=sk.size, workers=2)
@@ -269,6 +269,114 @@ class TestStructureErrors:
         err = bounded(rt.run)
         assert isinstance(err, StructureError) and block in str(err)
         assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("emit", [False, True], ids=["inline", "2-workers"])
+@pytest.mark.parametrize("right", [False, True], ids=["left", "right"])
+def test_dense_factor_against_partitioned_rhs_vs_oracle(right, emit):
+    # the solve a coalesced diagonal block meets: the dense h(0, 0) solves the
+    # partitioned h(0, 1) (left) or h(1, 0) (right) block by block, cut into
+    # windows at its splits; n // 4 = 8, so make_plan coalesces no node here
+    t = tree(tree((0, 8), (8, 16)), tree((16, 24), (24, 32)))
+    cell = (1, 0) if right else (0, 1)
+    rng = np.random.default_rng(41)
+
+    def fill(block):
+        shift = 32 * np.eye(block.rows, block.cols, block.row.start - block.col.start)
+        return rng.standard_normal((block.rows, block.cols)) + shift
+
+    h = build_hmatrix(grid(t, t, {cell: grid(t.sons[cell[0]], t.sons[cell[1]])}), fill)
+    a = flatten(h)
+    plan = make_plan(h, mode="parallel" if emit else "sequential", workers=2)
+    assert plan.coarse.leaves() == h.leaves() and h.child(*cell).kind == PARTITIONED
+    hlu_factorize(plan)
+    oracle = unpivoted_lu_oracle(a)
+    assert np.linalg.norm(flatten(h) - oracle) <= 1e-11 * np.linalg.norm(oracle)
+
+
+def coalesced_pairs(m, c):
+    """(matrix node, coarse node) over each leaf block of the coarse tree ``c``."""
+    assert m.block is c.block
+    if c.kind != PARTITIONED:
+        yield m, c
+        return
+    for m_row, c_row in zip(m.data, c.data, strict=True):
+        for mm, cc in zip(m_row, c_row, strict=True):
+            yield from coalesced_pairs(mm, cc)
+
+
+class TestCoalescing:
+    """make_plan stores each small all-dense node as one array that the recursion
+    factors as one dense leaf; the block tree and the dependencies stay."""
+
+    def test_matrix_leaves_are_views_of_coalesced_nodes(self):
+        case = make_bem_case(3, 512, eta=1.0, leafsize=32, eps=1e-6)
+        template = case.hmatrix
+        h = template.copy()
+        plan = make_plan(h, TruncationControl(1e-6))
+        assert plan.matrix is h
+        assert [leaf.block for leaf in h.leaves()] == [leaf.block for leaf in template.leaves()]
+        assert np.array_equal(flatten(h), flatten(template))
+        nodes = [(m, c) for m, c in coalesced_pairs(h, plan.coarse) if m is not c]
+        assert len(nodes) == 22
+        for m, c in nodes:
+            assert m.kind == PARTITIONED and c.kind == DENSE
+            assert max(c.rows, c.cols) <= 512 // 4 and c.data.flags.c_contiguous
+            r0, c0 = c.row_range[0], c.col_range[0]
+            for leaf in m.leaves():
+                assert leaf.kind == DENSE and max(leaf.rows, leaf.cols) < 128
+                assert leaf.data.base is c.data
+                (i0, i1), (j0, j1) = leaf.row_range, leaf.col_range
+                assert np.shares_memory(leaf.data, c.data[i0 - r0 : i1 - r0, j0 - c0 : j1 - c0])
+        # every other leaf of the coarse tree is the matrix's own
+        rest = [m for m, c in coalesced_pairs(h, plan.coarse) if m is c]
+        assert len(rest) == len(plan.coarse.leaves()) - len(nodes)
+        assert any(leaf.kind == LOWRANK for leaf in rest)
+
+    @pytest.mark.parametrize("n, coalesced", [(512, 4), (1024, 0)], ids=["64-point", "128-point"])
+    def test_leaves_of_128_points_stay(self, n, coalesced):
+        # dense2x2's diagonal 2x2 of n / 8-point leaves qualifies only below 128 points
+        h = dense2x2_matrix(n, 3)
+        payloads = [leaf.data for leaf in h.leaves()]
+        plan = make_plan(h)
+        nodes = [m for m, c in coalesced_pairs(h, plan.coarse) if m is not c]
+        assert len(nodes) == coalesced
+        if not coalesced:
+            assert plan.coarse.leaves() == h.leaves()
+            assert all(leaf.data is x for leaf, x in zip(h.leaves(), payloads, strict=True))
+
+    def test_factors_bitwise_across_workers(self):
+        case = make_bem_case(3, 512, eta=1.0, leafsize=32, eps=1e-6)
+        ctl = TruncationControl(1e-6)
+        h_seq = case.hmatrix.copy()
+        plan = make_plan(h_seq, ctl)
+        assert len(plan.coarse.leaves()) < len(h_seq.leaves())
+        hlu_factorize(plan)
+        for workers in (1, 2, 4, 16):
+            for wd_er in (True, False):
+                h = case.hmatrix.copy()
+                hlu_factorize(make_plan(h, ctl, mode="parallel", workers=workers, wd_er=wd_er))
+                for got, want in zip(h.leaves(), h_seq.leaves(), strict=True):
+                    assert got.kind == want.kind, (workers, wd_er)
+                    if got.kind == DENSE:
+                        assert np.array_equal(got.data, want.data), (workers, wd_er)
+                    else:
+                        assert np.array_equal(got.data.a, want.data.a), (workers, wd_er)
+                        assert np.array_equal(got.data.b, want.data.b), (workers, wd_er)
+
+    def test_edges_match_pairwise_oracle(self):
+        # a coalesced node is one leaf task over its skeleton interval: the
+        # edges the chains enforce are still exactly the pairwise conflicts
+        h = make_bem_case(3, 512, eta=1.0, leafsize=32, eps=1e-6).hmatrix
+        plan = make_plan(h, TruncationControl(1e-6), mode="parallel", workers=4)
+        graph = emit_task_graph(plan)
+        lu = graph.find_one("lu[0:128)x[0:128)")
+        node = h.child(0, 0).child(0, 0)
+        assert node.kind == PARTITIONED and not lu.spawns
+        assert [(r.lo, r.hi) for r in lu.regions] == [plan.skeleton.ranges[node.block]]
+        assert any(t.spawns and t.parent is not None for t in graph.tasks)
+        got = {(e.src.id, e.dst.id) for e in graph.edges}
+        assert got == oracle_edges(graph.tasks)
 
 
 class TestSequentialMixed:
@@ -544,10 +652,15 @@ class TestExactProducts:
         got = _multiply_lowrank(a, b).value()
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
-        # the stored sum itself, before any flush, holds none of the operands' memory
+        # the stored sum itself, before any flush, holds none of the operands' memory:
+        # none of its factor parts, which it concatenates only when truncated (a
+        # product of rank 32 or more takes the half-block bound at once)
         c = lowrank_leaf(block, 2, seed=33)
         _update(_Inline(TruncationControl(1e-10), FlopCounter()), c, a, b)
-        for x in (c.data.a, c.data.b):
+        d = c.data
+        parts = (*d.a_parts, *d.b_parts) if isinstance(d, _Sum) else (d.a, d.b)
+        assert isinstance(d, _Sum) == ("lowrank" in (kind_a, kind_b))
+        for x in parts:
             assert not any(np.shares_memory(x, y) for y in (*payloads(a), *payloads(b)))
 
     def test_factorization_compresses_no_dense_product(self, monkeypatch):
@@ -825,9 +938,11 @@ class TestParallelEquivalence:
             assert np.array_equal(p.data, t.data.value())
         assert [leaf.kind for leaf in template.leaves()] == kinds_before
 
-        payloads_before = [leaf.data for leaf in h_seq.leaves()]
-        plan = make_plan(h_seq, TruncationControl(1e-6))  # a planned matrix converts nothing
-        assert all(leaf.data is x for leaf, x in zip(h_seq.leaves(), payloads_before))
+        # a planned matrix converts nothing; coalescing copies its leaves into new arrays
+        values = flatten(h_seq)
+        plan = make_plan(h_seq, TruncationControl(1e-6))
+        assert [leaf.kind for leaf in h_seq.leaves()] == kinds
+        assert np.array_equal(flatten(h_seq), values)
         hlu_factorize(plan)
         for workers in (1, 2, 4, 16):
             for wd_er in (True, False):
@@ -918,7 +1033,10 @@ class TestDagSoundness:
         assert spans[True] < spans[False]  # strictly better on this structure
 
 # (tasks, spawners, edges, weak edges) with wd_er, then the sha256 of the sorted
-# "src -> dst (weak)" edge lines with wd_er and without; without it no edge is weak
+# "src -> dst (weak)" edge lines with wd_er and without; without it no edge is weak.
+# make_plan coalesces the all-dense nodes of at most n // 4 = 64 rows (dense2x2's
+# diagonal 64-blocks, bem1d's diagonal 64-blocks): at 1 worker, and for bem1d at 2,
+# every coalesced node lies inside a collapsed task, so those graphs are unchanged
 GRAPH_SHAPES = {
     ("dense2x2", 1): (
         (6, 1, 5, 0),
@@ -926,19 +1044,19 @@ GRAPH_SHAPES = {
         "459359ce16833993f5e25c5d01c011c83361478a1af9c5ebf3724c72958904e7",
     ),
     ("dense2x2", 2): (
-        (46, 12, 33, 11),
-        "e283b36e058e9c577bd0a0b130545f706e651ed56e2f680d70bb46660ab52387",
-        "54e13345e3ca31069ab33eefa0872b97fd1433b661fe64e0fbd4b7e93ba3e3b5",
+        (26, 6, 21, 5),
+        "49d5385f92de2a91e1e98d4f8a64cf4455a806f0756590f9f3d9f79bb4018f79",
+        "b01c690c5706edcd16fea3c0b07222cab9e2a868c805a8bc21fc8336f0b6e27a",
     ),
     ("dense2x2", 4): (
-        (86, 22, 65, 21),
-        "ede74f24e5967c54c795632cc7da2380bdc61481863c38c8403715465f0cbbf8",
-        "2176cf0bcd2c77207b3c3c8501038ed9a85c23bc68209864accc1369fb285ca9",
+        (26, 6, 21, 5),
+        "49d5385f92de2a91e1e98d4f8a64cf4455a806f0756590f9f3d9f79bb4018f79",
+        "b01c690c5706edcd16fea3c0b07222cab9e2a868c805a8bc21fc8336f0b6e27a",
     ),
     ("dense2x2", 16): (
-        (86, 22, 65, 21),
-        "ede74f24e5967c54c795632cc7da2380bdc61481863c38c8403715465f0cbbf8",
-        "2176cf0bcd2c77207b3c3c8501038ed9a85c23bc68209864accc1369fb285ca9",
+        (26, 6, 21, 5),
+        "49d5385f92de2a91e1e98d4f8a64cf4455a806f0756590f9f3d9f79bb4018f79",
+        "b01c690c5706edcd16fea3c0b07222cab9e2a868c805a8bc21fc8336f0b6e27a",
     ),
     ("bem1d-512", 1): (
         (6, 1, 5, 0),
@@ -951,14 +1069,14 @@ GRAPH_SHAPES = {
         "f3bba7747de15cf572965dd7c4cb1e73d6236448028fd705173d636e71dd4a57",
     ),
     ("bem1d-512", 4): (
-        (258, 44, 157, 33),
-        "2de36c7acce048ab449ec9e4fdd6836d12ad0bb7af490a1c9a90673920bd0996",
-        "ccf8021cb5de58b7c751e35d0d0e56a43e1b68cb11d50e6d3cdd28268a5573a1",
+        (238, 38, 145, 27),
+        "77b73a9a97e8d0b53de589a1ef08444ab0b9dfc057fb5b06a68e66de0006c4b4",
+        "7c3f4e8e0d668216abf64e5099e7900ce1ddba28af35ca6cec46678d94b749ee",
     ),
     ("bem1d-512", 16): (
-        (1100, 192, 579, 131),
-        "44a8e36c56abe97cd27428fd388a25361a374337e0d8d59203b3882b9be46d7c",
-        "6246989447986e467c50f1d6c198e8452251e2f62a324c58ac47c64fd372bb36",
+        (930, 145, 773, 105),
+        "01b92cafb44341cfe2846769207db68d758ee4c2e6baaa8f07dff9f1581768c2",
+        "465d9ff06d0495a299240cfae66444e04ece1de8bf7e5a8d3468dca727e4cf96",
     ),
 }
 
@@ -966,7 +1084,7 @@ GRAPH_SHAPES = {
 @pytest.mark.parametrize("wd_er", [True, False], ids=["wd_er", "taskwait"])
 @pytest.mark.parametrize("case, workers", list(GRAPH_SHAPES))
 def test_emitted_graph_shape(case, workers, wd_er):
-    # the emitted graph, edge for edge, as it was before operations became records
+    # the emitted graph, edge for edge, of the tree make_plan coalesced
     if case == "dense2x2":
         h = dense2x2_matrix(256, 3)
     else:

@@ -226,6 +226,14 @@ class TestDenseKernels:
         with pytest.raises(SingularBlockError) as err:
             lu_nopivot(a, block_path="diag")
         assert err.value.block_path == "diag"
+        assert "in row 1 of block diag" in str(err.value)
+
+    def test_lu_singular_pivot_names_its_row(self):
+        # the blocked recursion splits 100 rows at 50 and 75: the row is the block's
+        a = np.eye(100)
+        a[80, 80] = 0.0
+        with pytest.raises(SingularBlockError, match=r"in row 80 of block lu\[0:100\)"):
+            lu_nopivot(a, block_path="lu[0:100)x[0:100)")
 
     def test_trsm_lower(self, rng):
         n = 16
