@@ -50,7 +50,7 @@ class BlockNode:
 
 def admissible(t, s, eta):
     """True iff min{diam(t), diam(s)} <= eta * dist(t, s)."""
-    if eta <= 0:
+    if not eta > 0:  # also rejects NaN
         raise ValueError("eta must be positive")
     return min(diam(t), diam(s)) <= eta * dist(t, s)
 

@@ -16,8 +16,8 @@ the dependency structure of the recursion.  Below a granularity cutoff (see
 ``final`` clause would.
 
 Products are exact; a low-rank destination sums its updates in a fixed source
-order and is truncated only by its flush, just before its triangular solve, or
-at the half-block bound; parallel runs match the sequential result bit for bit.
+order and is truncated only by its flush, before its triangular solve or at the
+half-block bound; parallel runs match the sequential result bit for bit.
 Leaf formats are fixed by ``make_plan`` before any run: it stores dense each
 low-rank leaf that a dense x dense update alone would push to that bound,
 and coalesces each small all-dense node into one array that the recursion
@@ -36,11 +36,13 @@ import numpy as np
 from .blocks import PARTITIONED
 from .hmatrix import DENSE, HMatrix, LOWRANK, Skeleton, StructureError, build_skeleton
 from .hmatrix import _matvec_into, _Window
+# add_truncated and compress_dense are unused here: perfbench's traced run wraps
+# hlu.add_truncated, hlu.recompress and hlu.compress_dense, looked up by name
 from .lowrank import (
     LowRank,
     TruncationControl,
     add_truncated,
-    compress_dense,  # unused here; perfbench's traced run wraps hlu.compress_dense by name
+    compress_dense,
     gemm_update,
     lu_nopivot,
     recompress,
@@ -77,7 +79,9 @@ class HluPlan:
     wd_er: bool = True
     seed: int = 0
     flops: FlopCounter = field(default_factory=FlopCounter)
-    coarse: HMatrix | None = None  # the tree the recursion factors; default ``matrix``
+    # The tree the recursion factors; default ``matrix``.  Apply the factors through
+    # ``matrix``: on bem3d (seed 1) ``coarse`` read the probe residual 4.21e-16 -> 5.13e-16.
+    coarse: HMatrix | None = None
 
     def __post_init__(self):
         if self.coarse is None:
@@ -397,7 +401,8 @@ class _Sum:
 
 
 def _flush(b, ctl, flops):
-    """Truncate the sum a low-rank leaf or window's leaf accumulated (two thin QRs, a k x k SVD)."""
+    """Truncate the sum a low-rank leaf or window's leaf accumulated (two thin QRs, a k x k SVD):
+    the only truncation, run by a solve body first and by an update at the half-block bound."""
     if isinstance(b, _Window):
         b = b.leaf
     if isinstance(b.data, _Sum):
@@ -423,15 +428,14 @@ def _kernel(op, ctl, flops):
         _matvec_into(a, src, dst, right=right, acc=gemm_update)
         flops.add(2 * dst.shape[0] * dst.shape[1] * src.shape[1 if right else 0])
     elif x.kind == LOWRANK:
-        # low-rank destination: append the product to the exact sum, or truncate a sum
-        # that would reach half the block size now (dense); a dense pair forms no product
+        # low-rank destination: append the product to the exact sum and flush a sum
+        # that reaches half the block size; a dense pair forms no product
         p, d = _multiply_lowrank(a, b), x.data
         (m, n), inner = p.shape, a.col_range[1] - a.col_range[0]
-        if d.k + p.k >= min(m, n) / 2:
-            x.data = add_truncated(d, p.neg(), ctl)
-            flops.add(2 * m * n * (d.k + p.k) + 22 * min(m, n) ** 3)
-        elif p.k:
+        if p.k:
             x.data = (d if isinstance(d, _Sum) else _Sum(d)).sub(p)
+            if x.data.k >= min(m, n) / 2:
+                _flush(x, ctl, flops)
         formed = 0 if a.kind == b.kind == DENSE else p.k * (n if a.kind == LOWRANK else m)
         flops.add(2 * formed * inner)
     else:
@@ -472,8 +476,9 @@ class _Formats:
     """Runs no kernel; marks dense each low-rank leaf that receives a dense x dense
     product whose inner dimension reaches half the leaf's smaller side.
 
-    Such a product alone has that rank, so the update body would take the
-    half-block bound and an SVD whatever the leaf's rank.  Every update into
+    Such a product alone has that rank, so the update body would flush the
+    leaf at the half-block bound whatever its rank, truncating factors at
+    least half as wide as the leaf: a dense leaf is cheaper.  Every update into
     a leaf precedes its solve, which precedes its use as an operand, so the
     operands' formats are final when the walk reaches an update.  The leaf
     keeps its factors until ``_coalesce`` writes their product.

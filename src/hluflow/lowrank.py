@@ -37,8 +37,8 @@ class TruncationControl:
     kmax: int | None = None
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
+        if not 0 <= self.eps < float("inf"):
+            raise ValueError("eps must be finite and >= 0")
         if self.kmax is not None and self.kmax < 0:
             raise ValueError("kmax must be >= 0 if set")
 
@@ -70,9 +70,6 @@ class LowRank:
 
     def value(self):
         return self.a @ self.b.T
-
-    def neg(self):
-        return LowRank(-self.a, self.b)
 
     def copy(self):
         return LowRank(self.a.copy(), self.b.copy())
@@ -106,20 +103,14 @@ def recompress(x: LowRank, ctl: TruncationControl) -> LowRank:
 def add_truncated(x1: LowRank, x2: LowRank, ctl: TruncationControl) -> LowRank:
     """Truncated sum of two low-rank blocks.
 
-    The concatenated factors represent the exact sum with rank k1 + k2; the
-    result keeps only singular values above eps * sigma_1 (and at most
+    The concatenated factors represent the exact sum with rank k1 + k2;
+    ``recompress`` keeps only singular values above eps * sigma_1 (and at most
     ``kmax``), so the error is bounded by eps times the spectral norm of the
-    exact sum.  When the combined rank reaches half the smaller block
-    dimension the sum is formed densely and compressed by one SVD instead.
+    exact sum.  It is the arithmetic of the H-LU's flush, whatever the rank.
     """
     if x1.shape != x2.shape:
         raise ValueError(f"shape mismatch: {x1.shape} vs {x2.shape}")
-    m, n = x1.shape
-    if x1.k + x2.k >= min(m, n) / 2:
-        return compress_dense(x1.value() + x2.value(), ctl)
-    a = np.hstack((x1.a, x2.a))
-    b = np.hstack((x1.b, x2.b))
-    return recompress(LowRank(a, b), ctl)
+    return recompress(LowRank(np.hstack((x1.a, x2.a)), np.hstack((x1.b, x2.b))), ctl)
 
 
 def compress_dense(d, ctl: TruncationControl) -> LowRank:

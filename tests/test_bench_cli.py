@@ -162,6 +162,12 @@ class TestCli:
         assert main(["bench", "--case", "dense2x2", "--n", "1"]) == EXIT_CONFIG
         assert main(["bench", "--mode", "weird"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag, value", [("--eps", "nan"), ("--eps", "inf"), ("--eta", "nan")])
+    def test_verify_rejects_non_finite_tolerances(self, capsys, flag, value):
+        args = ["verify", "--case", "bem", "--n", "128", "--leafsize", "16", flag, value]
+        assert main(args) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+
     def test_assemble_round_trip(self, tmp_path, capsys):
         out = tmp_path / "h.npz"
         dump = tmp_path / "structure.txt"

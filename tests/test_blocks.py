@@ -34,6 +34,14 @@ def test_admissible_direct_substitution():
     assert not admissible(a, c, 0.25)  # 1 > 0.25 * 2
 
 
+@pytest.mark.parametrize("eta", [0.0, -1.0, float("nan")])
+def test_admissible_rejects_non_positive_eta(eta):
+    a = line_tree([0.0, 1.0], 4).root
+    b = line_tree([11.0, 12.0], 4).root
+    with pytest.raises(ValueError, match="eta must be positive"):
+        admissible(a, b, eta)
+
+
 def test_leaf_cases():
     a = line_tree([0.0, 1.0], 4).root
     b = line_tree([1.5, 2.5], 4).root

@@ -21,6 +21,7 @@ from hluflow.hmatrix import (
     LOWRANK,
     HMatrix,
     StructureError,
+    _Window,
     build_hmatrix,
     build_skeleton,
     flatten,
@@ -48,7 +49,6 @@ from hluflow.lowrank import (
     LowRank,
     SingularBlockError,
     TruncationControl,
-    add_truncated,
     recompress,
 )
 from hluflow.runtime import Runtime
@@ -537,26 +537,18 @@ class TestAccumulatedUpdates:
             assert np.linalg.norm(again.value() - x.value()) <= 1e-12 * np.linalg.norm(x.value())
 
     def test_truncations_fewer_than_updates(self, monkeypatch):
-        # each leaf is truncated by its flush, at most once, and by a batch when
-        # its sum reaches half its size; every update body multiplies once
+        # each leaf's sum is flushed by its solve at most once, and apart from that
+        # by an update whose sum reaches half its size; every update body multiplies once
         import hluflow.hlu as hlu_module
 
         case = make_bem_case(1, 512, eta=0.5, leafsize=32, eps=1e-6)
         h = case.hmatrix.copy()
         lowrank = [leaf for leaf in h.leaves() if leaf.kind == LOWRANK]
-        flushed, counts, depth = [], {"bodies": 0, "truncations": 0}, [0]
-
-        def owner(x):
-            return next((i for i, leaf in enumerate(lowrank) if leaf.data is x), None)
+        flushed, counts, depth = record_flushes(monkeypatch), {"bodies": 0, "truncations": 0}, [0]
 
         def recompress_counted(x, ctl):
             counts["truncations"] += 1
-            flushed.append(owner(x))
             return recompress(x, ctl)
-
-        def add_truncated_counted(x1, x2, ctl):
-            counts["truncations"] += 1
-            return add_truncated(x1, x2, ctl)
 
         multiply = hlu_module._multiply_lowrank
 
@@ -569,12 +561,12 @@ class TestAccumulatedUpdates:
                 depth[0] -= 1
 
         monkeypatch.setattr(hlu_module, "recompress", recompress_counted)
-        monkeypatch.setattr(hlu_module, "add_truncated", add_truncated_counted)
         monkeypatch.setattr(hlu_module, "_multiply_lowrank", multiply_counted)
         hlu_factorize(make_plan(h, TruncationControl(1e-6)))
-        assert counts["truncations"] * 3 <= counts["bodies"]
-        leaf_flushes = [i for i in flushed if i is not None]
-        assert leaf_flushes and len(set(leaf_flushes)) == len(leaf_flushes)
+        assert counts["truncations"] == len(flushed) and counts["truncations"] * 3 <= counts["bodies"]
+        by_solve = [id(leaf) for leaf, d in flushed if not at_bound(d)]
+        assert by_solve and len(set(by_solve)) == len(by_solve)
+        assert all(any(leaf is x for x in lowrank) for leaf, _ in flushed)
         for leaf in lowrank:
             assert recompress(leaf.data, TruncationControl(1e-6)).k == leaf.data.k
 
@@ -603,6 +595,27 @@ class TestAccumulatedUpdates:
             monkeypatch.setattr(hlu_module, name, seen(getattr(hlu_module, name)))
         hlu_factorize(make_plan(h, TruncationControl(1e-6, kmax), mode=mode, workers=workers))
         assert excess and max(excess) <= 0
+
+
+def record_flushes(monkeypatch):
+    """Wrap ``hlu._flush`` to list (leaf, sum) for every unflushed sum it truncates."""
+    import hluflow.hlu as hlu_module
+
+    flush, flushed = hlu_module._flush, []
+
+    def flush_recorded(b, ctl, flops):
+        leaf = b.leaf if isinstance(b, _Window) else b
+        if isinstance(leaf.data, _Sum):
+            flushed.append((leaf, leaf.data))
+        return flush(b, ctl, flops)
+
+    monkeypatch.setattr(hlu_module, "_flush", flush_recorded)
+    return flushed
+
+
+def at_bound(d):
+    """True iff the flushed sum ``d`` reached the half-block bound, so an update body flushed it."""
+    return d.k >= min(d.shape) / 2
 
 
 def graded(shape, seed):
@@ -664,31 +677,26 @@ class TestExactProducts:
             assert not any(np.shares_memory(x, y) for y in (*payloads(a), *payloads(b)))
 
     def test_factorization_compresses_no_dense_product(self, monkeypatch):
-        # dense x dense products reach a low-rank leaf's sum exact: the only SVDs
-        # of a dense block are those of the sums that reach the half-block bound
+        # dense x dense products reach a low-rank leaf's sum exact, and the sums
+        # that reach the half-block bound are flushed by recompress: no dense SVD
         import hluflow.hlu as hlu_module
         import hluflow.lowrank as lowrank_module
 
-        svds, hits = [], []
+        svds, flushed = [], record_flushes(monkeypatch)
         compress_dense = lowrank_module.compress_dense
-        add_truncated = hlu_module.add_truncated
 
         def compress_counted(d, ctl):
             svds.append(d.shape)
             return compress_dense(d, ctl)
 
-        def add_truncated_counted(x1, x2, ctl):
-            hits.append(x1.shape)
-            return add_truncated(x1, x2, ctl)
-
         case = make_bem_case(2, 256, eta=0.5, leafsize=16, eps=1e-6)
-        monkeypatch.setattr(lowrank_module, "compress_dense", compress_counted)
-        monkeypatch.setattr(hlu_module, "add_truncated", add_truncated_counted)
+        for module in (lowrank_module, hlu_module):
+            monkeypatch.setattr(module, "compress_dense", compress_counted)
         h_seq, h_par = case.hmatrix.copy(), case.hmatrix.copy()
         hlu_factorize(make_plan(h_seq, TruncationControl(1e-6)))
         hlu_factorize(make_plan(h_par, TruncationControl(1e-6), mode="parallel", workers=2))
-        assert len(hits) > 0
-        assert len(svds) == len(hits)
+        assert any(at_bound(d) for _, d in flushed)
+        assert svds == []
         assert np.array_equal(flatten(h_par), flatten(h_seq))
 
     @pytest.mark.parametrize("d, n, leafsize", [(3, 512, 32), (2, 256, 16)], ids=["d3", "d2"])
@@ -699,8 +707,8 @@ class TestExactProducts:
         # make_plan meets one, while the bound itself stays reached
         import hluflow.hlu as hlu_module
 
-        multiply, add_truncated = hlu_module._multiply_lowrank, hlu_module.add_truncated
-        seen = {"depth": 0, "pairs": 0, "hits": 0}
+        multiply, flushed = hlu_module._multiply_lowrank, record_flushes(monkeypatch)
+        seen = {"depth": 0, "pairs": 0}
 
         def multiply_counted(a, b):
             inner = a.col_range[1] - a.col_range[0]
@@ -713,20 +721,16 @@ class TestExactProducts:
             finally:
                 seen["depth"] -= 1
 
-        def add_truncated_counted(x1, x2, ctl):
-            seen["hits"] += 1
-            return add_truncated(x1, x2, ctl)
-
         case = make_bem_case(d, n, eta=1.0 if d == 3 else 0.5, leafsize=leafsize, eps=1e-6)
         monkeypatch.setattr(hlu_module, "_multiply_lowrank", multiply_counted)
-        monkeypatch.setattr(hlu_module, "add_truncated", add_truncated_counted)
         counts = {}
         for planned in (False, True):
             h, ctl = case.hmatrix.copy(), TruncationControl(1e-6)
             plan = make_plan(h, ctl) if planned else HluPlan(h, build_skeleton(h), ctl)
-            seen.update(pairs=0, hits=0)
+            seen["pairs"] = 0
+            flushed.clear()
             hlu_factorize(plan)
-            counts[planned] = (seen["pairs"], seen["hits"])
+            counts[planned] = (seen["pairs"], sum(at_bound(d) for _, d in flushed))
         assert counts[False][0] > 0
         assert counts[True][0] == 0
         assert 0 < counts[True][1] < counts[False][1]
@@ -1147,7 +1151,6 @@ def test_kernels_looked_up_at_call_time(monkeypatch):
         "trsm_lower_unit",
         "trsm_upper_right",
         "gemm_update",
-        "add_truncated",
         "recompress",
     ]
     lock = threading.Lock()

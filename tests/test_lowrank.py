@@ -140,8 +140,15 @@ class TestAddTruncated:
         x2 = random_lowrank(rng, 10, 10, 3)
         assert add_truncated(x1, x2, ctl).k <= 2
 
-    def test_dense_fallback_path(self, rng):
-        # combined rank 6 >= min(8, 8) / 2 forces the dense route
+    def test_half_block_sum_recompressed(self, rng, monkeypatch):
+        # combined rank 6 >= min(8, 8) / 2, the H-LU's half-block bound: the sum is
+        # recompressed from its factors like any other, never formed densely
+        import hluflow.lowrank as lowrank_module
+
+        def dense_svd(d, ctl):
+            raise AssertionError("the sum was compressed densely")
+
+        monkeypatch.setattr(lowrank_module, "compress_dense", dense_svd)
         ctl = TruncationControl(1e-10)
         x1 = random_lowrank(rng, 8, 8, 3)
         x2 = random_lowrank(rng, 8, 8, 3)
@@ -399,3 +406,10 @@ def test_truncation_control_validation():
         TruncationControl(-1.0)
     with pytest.raises(ValueError):
         TruncationControl(1e-8, kmax=-1)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_truncation_control_rejects_non_finite_eps(eps):
+    # a NaN or infinite tolerance would make every truncation keep rank 0
+    with pytest.raises(ValueError, match="eps must be finite"):
+        TruncationControl(eps)
