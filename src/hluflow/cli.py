@@ -112,12 +112,14 @@ def _cmd_verify(args):
     from .hmatrix import flatten
 
     cfg = _config_from_args(args)
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ValueError("tolerance must be finite and >= 0")
     template = build_case(cfg)
     h = template.copy()
     hlu_factorize(_plan_for(cfg, h, "seq"))
     residual = residual_probe(template, h, cfg.seed)
     lines = [f"residual {residual:.3e} (tolerance {args.tolerance:.3e})"]
-    ok = residual <= args.tolerance and residual == residual
+    ok = residual <= args.tolerance  # False for a NaN or infinite residual
     if cfg.n <= 1024:
         a = flatten(template)
         f = flatten(h)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .blocks import PARTITIONED
 from .hmatrix import DENSE, HMatrix, LOWRANK, Skeleton, StructureError, build_skeleton
-from .hmatrix import _matvec_into, _Window
+from .hmatrix import _matvec_into, _operand, _Window
 # add_truncated and compress_dense are unused here: perfbench's traced run wraps
 # hlu.add_truncated, hlu.recompress and hlu.compress_dense, looked up by name
 from .lowrank import (
@@ -568,15 +568,15 @@ def emit_task_graph(plan: HluPlan):
 
 def lower_unit_matvec(h: HMatrix, x):
     """y = L @ x where L is the unit lower factor stored in a factored matrix."""
-    x = np.asarray(x, dtype=float)
-    y = np.zeros_like(x, dtype=float)
+    x = _operand(h, x)
+    y = np.zeros_like(x)
     _matvec_into(h, x, y, tri="L")
     return y
 
 
 def upper_matvec(h: HMatrix, x):
     """y = U @ x where U is the upper factor stored in a factored matrix."""
-    x = np.asarray(x, dtype=float)
-    y = np.zeros_like(x, dtype=float)
+    x = _operand(h, x)
+    y = np.zeros_like(x)
     _matvec_into(h, x, y, tri="U")
     return y

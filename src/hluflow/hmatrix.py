@@ -150,11 +150,17 @@ def build_skeleton(h: HMatrix) -> Skeleton:
     return Skeleton(size, ranges)
 
 
-def hmatvec(h: HMatrix, x):
-    """y = h @ x by recursion over the block structure."""
+def _operand(h: HMatrix, x):
+    """``x`` as a float array, checked to have one entry (row) per column of ``h``."""
     x = np.asarray(x, dtype=float)
     if x.shape[0] != h.cols:
         raise ValueError(f"length mismatch: {h.cols} columns vs {x.shape[0]}")
+    return x
+
+
+def hmatvec(h: HMatrix, x):
+    """y = h @ x by recursion over the block structure."""
+    x = _operand(h, x)
     y = np.zeros(h.rows) if x.ndim == 1 else np.zeros((h.rows, x.shape[1]))
     _matvec_into(h, x, y)
     return y

@@ -6,10 +6,12 @@ task's own readiness; they are the declaration that child tasks will touch
 the region, and they are what lets a dependency cross nesting boundaries.
 Every access inserts one bookkeeping node per slot into a per-slot chain: root
 tasks into the runtime's table of root chains, children into the chain under
-their parent's node; two monotone frontiers per chain (writes-done and
-fully-released prefixes) drive read/write satisfiability down the chain in
-submission order.  The chains are the one record of dependencies: the task
-graph's edges are read off them.
+their parent's node.  Two pointers per chain mark how far down it, in
+submission order, accesses are read- and write-satisfied: a pointer passes a
+node once the node before it has its writes done (read) or is released
+(write), and the node enclosing the chain is satisfied the same way.  The
+chains are the one record of dependencies: the task graph's edges are read
+off them.
 
 With early release enabled a finished body releases every slot no child still
 uses, slot by slot, as descendants complete.  Without it a task's accesses
@@ -73,48 +75,43 @@ class Region:
 
 
 class _Chain:
-    """Ordered accesses of sibling tasks on one slot, nested under a node."""
+    """Ordered accesses of sibling tasks on one slot, nested under a node.
+    The nodes below ``next_rsat`` are read-satisfied, those below ``next_wsat``
+    write-satisfied; ``Runtime._advance_sat`` moves both pointers forward."""
 
-    __slots__ = ("parent", "nodes", "wd_frontier", "rel_frontier", "next_rsat", "next_wsat")
+    __slots__ = ("parent", "nodes", "next_rsat", "next_wsat")
 
     def __init__(self, parent):
         self.parent = parent
         self.nodes = []
-        self.wd_frontier = 0
-        self.rel_frontier = 0
         self.next_rsat = 0
         self.next_wsat = 0
 
 
 class _Node:
-    """One (task, slot) access; lives in a chain, may hold a child chain."""
+    """One (task, slot) access; lives in a chain, may hold a child chain.
+    It is read- or write-satisfied while ``index`` is below its chain's pointer."""
 
     __slots__ = (
         "task",
-        "slot",
         "writes",
         "weak",
         "chain",
         "index",
         "child_chain",
-        "rsat",
-        "wsat",
         "writes_done",
         "released",
         "open_children",
         "open_writers",
     )
 
-    def __init__(self, task, slot, writes, weak, chain):
+    def __init__(self, task, writes, weak, chain):
         self.task = task
-        self.slot = slot
         self.writes = writes
         self.weak = weak
         self.chain = chain
         self.index = len(chain.nodes)
         self.child_chain = None
-        self.rsat = False
-        self.wsat = False
         self.writes_done = not writes
         self.released = False
         self.open_children = 0
@@ -122,7 +119,8 @@ class _Node:
 
 
 class Task:
-    """A submitted unit of work with its accesses and lifecycle bookkeeping."""
+    """A submitted unit of work with its accesses and lifecycle bookkeeping.
+    Its timestamps are its lifecycle: ready, body done, subtree done (end)."""
 
     __slots__ = (
         "id",
@@ -134,9 +132,6 @@ class Task:
         "cost",
         "nodes",
         "pending",
-        "enqueued",
-        "body_done",
-        "deep_done",
         "open_child_tasks",
         "submit_t",
         "ready_t",
@@ -156,9 +151,6 @@ class Task:
         self.cost = cost
         self.nodes = []
         self.pending = 1  # submission guard
-        self.enqueued = False
-        self.body_done = False
-        self.deep_done = False
         self.open_child_tasks = 0
         self.submit_t = None
         self.ready_t = None
@@ -169,9 +161,9 @@ class Task:
 
     @property
     def state(self):
-        if self.deep_done:
+        if self.end_t is not None:
             return "released"
-        if self.body_done:
+        if self.body_end_t is not None:
             return "finished"
         if self.start_t is not None:
             return "running"
@@ -324,7 +316,7 @@ class Runtime:
             self._unfinished += 1
             if parent is not None:
                 parent.open_child_tasks += 1
-            task.submit_t = self._now()
+            task.submit_t = self._clock()
             for region, cover in zip(regions, covers):
                 self._attach(task, region, cover)
             task.pending -= 1
@@ -381,52 +373,39 @@ class Runtime:
                 pnode.open_children += 1
                 if writes:
                     pnode.open_writers += 1
-            node = _Node(task, slot, writes, region.weak, chain)
+            node = _Node(task, writes, region.weak, chain)
             chain.nodes.append(node)
             nodes.append(node)
             if strong:
                 task.pending += 1
-            self._advance_wd(chain)
             self._advance_sat(chain)
         task.nodes.append(nodes)
 
     # -- chain algebra ---------------------------------------------------------
 
-    def _advance_wd(self, chain):
-        nodes = chain.nodes
-        i = chain.wd_frontier
-        while i < len(nodes) and nodes[i].writes_done:
-            i += 1
-        chain.wd_frontier = i
-
-    def _advance_rel(self, chain):
-        nodes = chain.nodes
-        i = chain.rel_frontier
-        while i < len(nodes) and nodes[i].released:
-            i += 1
-        chain.rel_frontier = i
-
     def _advance_sat(self, chain):
+        """Pass each pointer over the nodes whose predecessor has its writes done
+        (read) or is released (write), while the enclosing node is satisfied."""
         parent = chain.parent
         nodes = chain.nodes
-        p_rsat = parent is None or parent.rsat
-        while p_rsat and chain.next_rsat < len(nodes) and chain.next_rsat <= chain.wd_frontier:
-            node = nodes[chain.next_rsat]
-            chain.next_rsat += 1
-            node.rsat = True
-            if not node.weak and not node.writes:
-                self._sat_arrived(node.task)
-            if node.child_chain is not None:
-                self._advance_sat(node.child_chain)
-        p_wsat = parent is None or parent.wsat
-        while p_wsat and chain.next_wsat < len(nodes) and chain.next_wsat <= chain.rel_frontier:
-            node = nodes[chain.next_wsat]
-            chain.next_wsat += 1
-            node.wsat = True
-            if not node.weak and node.writes:
-                self._sat_arrived(node.task)
-            if node.child_chain is not None:
-                self._advance_sat(node.child_chain)
+        if parent is None or parent.index < parent.chain.next_rsat:
+            i = chain.next_rsat
+            while i < len(nodes) and (i == 0 or nodes[i - 1].writes_done):
+                node = nodes[i]
+                i = chain.next_rsat = i + 1
+                if not node.weak and not node.writes:
+                    self._sat_arrived(node.task)
+                if node.child_chain is not None:
+                    self._advance_sat(node.child_chain)
+        if parent is None or parent.index < parent.chain.next_wsat:
+            i = chain.next_wsat
+            while i < len(nodes) and (i == 0 or nodes[i - 1].released):
+                node = nodes[i]
+                i = chain.next_wsat = i + 1
+                if not node.weak and node.writes:
+                    self._sat_arrived(node.task)
+                if node.child_chain is not None:
+                    self._advance_sat(node.child_chain)
 
     def _sat_arrived(self, task):
         task.pending -= 1
@@ -436,7 +415,8 @@ class Runtime:
     def _may_release(self, task, open_nodes):
         """Early release: the body is done and no child access under the node
         is open.  The taskwait model also holds it until the subtree is done."""
-        return task.body_done and open_nodes == 0 and (self.wd_er or task.deep_done)
+        deep_done = task.end_t is not None
+        return task.body_end_t is not None and open_nodes == 0 and (self.wd_er or deep_done)
 
     def _try_writes_done(self, node):
         if node.writes_done or not self._may_release(node.task, node.open_writers):
@@ -446,8 +426,7 @@ class Runtime:
         if parent is not None and node.writes:
             parent.open_writers -= 1
             self._try_writes_done(parent)
-        if node.index == node.chain.wd_frontier:
-            self._advance_wd(node.chain)
+        if node.index + 1 == node.chain.next_rsat:
             self._advance_sat(node.chain)
 
     def _try_release(self, node):
@@ -462,20 +441,15 @@ class Runtime:
         if parent is not None:
             parent.open_children -= 1
             self._try_release(parent)
-        if node.index == node.chain.rel_frontier:
-            self._advance_rel(node.chain)
+        if node.index + 1 == node.chain.next_wsat:
             self._advance_sat(node.chain)
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def _now(self):
-        return self._clock()
-
     def _became_ready(self, task):
-        if task.enqueued:
+        if task.ready_t is not None:
             raise RuntimeError("internal: task readied twice")
-        task.enqueued = True
-        task.ready_t = self._now()
+        task.ready_t = self._clock()
         if self.collect:
             return
         if self._virtual_ready is not None:
@@ -485,34 +459,27 @@ class Runtime:
         self._deques[wid].append(task)
         self._cond.notify(1)
 
-    def _claim_slots(self, task):
+    def _strong_written_slots(self, task):
         if task.spawns:
             return  # spawner bodies only submit children, they touch no data
-        for region, nodes in zip(task.regions, task.nodes):
-            if region.weak or not region.writes:
-                continue
-            for node in nodes:
-                other = self._slot_owner.get(node.slot)
-                if other is not None:
-                    raise RuntimeError(
-                        f"exclusive-writer violation on slot {node.slot}: "
-                        f"{task.label!r} vs {other.label!r}"
-                    )
-                self._slot_owner[node.slot] = task
+        for region in task.regions:
+            if region.writes and not region.weak:
+                yield from range(region.lo, region.hi)
 
-    def _release_slots(self, task):
-        if task.spawns:
-            return
-        for region, nodes in zip(task.regions, task.nodes):
-            if region.weak or not region.writes:
-                continue
-            for node in nodes:
-                self._slot_owner.pop(node.slot, None)
+    def _claim_slots(self, task):
+        for slot in self._strong_written_slots(task):
+            other = self._slot_owner.get(slot)
+            if other is not None:
+                raise RuntimeError(
+                    f"exclusive-writer violation on slot {slot}: "
+                    f"{task.label!r} vs {other.label!r}"
+                )
+            self._slot_owner[slot] = task
 
     def _body_finished(self, task):
-        task.body_done = True
-        task.body_end_t = self._now()
-        self._release_slots(task)
+        task.body_end_t = self._clock()
+        for slot in self._strong_written_slots(task):
+            self._slot_owner.pop(slot, None)
         if self.wd_er:
             self._release_nodes(task)
         if task.open_child_tasks == 0:
@@ -527,15 +494,14 @@ class Runtime:
                 self._try_release(node)
 
     def _deep_finished(self, task):
-        task.deep_done = True
-        task.end_t = self._now()
+        task.end_t = self._clock()
         if not self.wd_er:
             self._release_nodes(task)
         self._unfinished -= 1
         parent = task.parent
         if parent is not None:
             parent.open_child_tasks -= 1
-            if parent.body_done and parent.open_child_tasks == 0:
+            if parent.body_end_t is not None and parent.open_child_tasks == 0:
                 self._deep_finished(parent)
         if self._unfinished == 0:
             self._cond.notify_all()
@@ -551,16 +517,20 @@ class Runtime:
 
     # -- threaded execution --------------------------------------------------------
 
-    def run(self):
-        """Execute all submitted tasks; returns their TaskGraph with timings."""
+    def _start(self):
+        """The guard of both executors: run once, and never in collect mode."""
         if self.collect:
             raise RuntimeError("collect-mode runtime cannot execute")
         with self._lock:
             if self._running:
                 raise RuntimeError("runtime already ran")
             self._running = True
-            if self._unfinished == 0:
-                return self.task_graph()
+
+    def run(self):
+        """Execute all submitted tasks; returns their TaskGraph with timings."""
+        self._start()
+        if self._unfinished == 0:
+            return self.task_graph()
         threads = [
             threading.Thread(target=self._worker_loop, args=(w,), daemon=True)
             for w in range(self.workers)
@@ -609,7 +579,7 @@ class Runtime:
                         self._cond.wait()
                         self._idle -= 1
                 try:
-                    task.start_t = self._now()
+                    task.start_t = self._clock()
                     task.worker = wid
                     self._claim_slots(task)
                 except BaseException as exc:  # noqa: BLE001 - propagate to run()
@@ -630,23 +600,22 @@ class Runtime:
     def _deadlock_report(self):
         lines = ["deadlock: unresolved region dependencies", "pending tasks:"]
         for t in self.tasks:
-            if t.deep_done or t.start_t is not None:
-                continue
+            if t.start_t is not None:
+                continue  # running or done
             blockers = []
             for region, nodes in zip(t.regions, t.nodes):
                 if region.weak:
                     continue
-                for node in nodes:
-                    satisfied = node.wsat if node.writes else node.rsat
-                    if satisfied:
-                        continue
+                for slot, node in enumerate(nodes, region.lo):
                     chain = node.chain
-                    frontier = chain.rel_frontier if node.writes else chain.wd_frontier
-                    if frontier < len(chain.nodes) and chain.nodes[frontier].task is not t:
-                        holder = chain.nodes[frontier].task
-                        blockers.append(f"slot {node.slot} held by {holder.label!r}")
+                    if node.index < (chain.next_wsat if node.writes else chain.next_rsat):
+                        continue
+                    flag = "released" if node.writes else "writes_done"
+                    holder = next((n.task for n in chain.nodes if not getattr(n, flag)), t)
+                    if holder is not t:
+                        blockers.append(f"slot {slot} held by {holder.label!r}")
                     else:
-                        blockers.append(f"slot {node.slot} awaiting enclosing release")
+                        blockers.append(f"slot {slot} awaiting enclosing release")
                     break
             lines.append(f"  {t.label!r}: " + ("; ".join(blockers) or "not ready"))
         return "\n".join(lines)
@@ -660,18 +629,13 @@ class Runtime:
         happens at the start event); completion is scheduled ``cost`` later
         on the virtual clock.  Spawner tasks default to cost 0, others to 1.
         """
-        if self.collect:
-            raise RuntimeError("collect-mode runtime cannot execute")
-        with self._lock:
-            if self._running:
-                raise RuntimeError("runtime already ran")
-            self._running = True
+        self._start()
         clock = 0.0
         self._clock = lambda: clock
         self._virtual_ready = ready = []
         with self._lock:
             for t in self.tasks:
-                if t.enqueued:
+                if t.ready_t is not None:
                     t.ready_t = 0.0
                     heapq.heappush(ready, (0.0, t.id, t))
         free = [(0.0, w) for w in range(self.workers)]
@@ -705,9 +669,7 @@ class Runtime:
                 continue
             break
         if self._unfinished > 0:
-            raise DeadlockError(
-                "no runnable task but work remains", self._deadlock_report()
-            )
+            raise DeadlockError("no runnable task but work remains", self._deadlock_report())
         return self.task_graph()
 
     # -- graph --------------------------------------------------------------------

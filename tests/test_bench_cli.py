@@ -162,7 +162,17 @@ class TestCli:
         assert main(["bench", "--case", "dense2x2", "--n", "1"]) == EXIT_CONFIG
         assert main(["bench", "--mode", "weird"]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("flag, value", [("--eps", "nan"), ("--eps", "inf"), ("--eta", "nan")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--eps", "nan"),
+            ("--eps", "inf"),
+            ("--eta", "nan"),
+            ("--tolerance", "nan"),
+            ("--tolerance", "inf"),
+            ("--tolerance", "-1"),
+        ],
+    )
     def test_verify_rejects_non_finite_tolerances(self, capsys, flag, value):
         args = ["verify", "--case", "bem", "--n", "128", "--leafsize", "16", flag, value]
         assert main(args) == EXIT_CONFIG

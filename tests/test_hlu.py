@@ -401,6 +401,16 @@ class TestSequentialMixed:
             worst = max(worst, np.linalg.norm(ax - lux) / np.linalg.norm(ax))
         assert worst <= 1e-4
 
+    @pytest.mark.parametrize("apply", [hmatvec, lower_unit_matvec, upper_matvec])
+    @pytest.mark.parametrize("length", [126, 130])
+    def test_matvec_rejects_wrong_length(self, apply, length):
+        h = make_bem_case(1, 128, eta=0.5, leafsize=16, eps=1e-6).hmatrix
+        hlu_factorize(make_plan(h, TruncationControl(1e-6)))
+        with pytest.raises(ValueError, match="length mismatch"):
+            apply(h, np.ones(length))
+        with pytest.raises(ValueError, match="length mismatch"):
+            apply(h, np.ones((length, 2)))
+
     def test_skeleton_unchanged_by_factorization(self):
         h = mixed_matrix(128)
         sk = build_skeleton(h)

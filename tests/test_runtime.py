@@ -281,10 +281,72 @@ def test_deadlock_detector_reports():
     with rt._lock:
         task.pending += 1
         rt._deques[0].clear()
-        task.enqueued = False
+        task.ready_t = None
     with pytest.raises(DeadlockError) as err:
         rt.run()
     assert "stuck" in err.value.report
+
+
+def _wedge(rt, task):
+    """Hold a ready task back for good, as if one of its accesses never came."""
+    with rt._lock:
+        task.pending += 1
+        rt._deques[0].clear()
+        task.ready_t = None
+
+
+@pytest.mark.parametrize("method", ["run", "run_virtual"])
+def test_deadlock_report_names_the_holder(method, bounded):
+    rt = Runtime(slots=1, workers=2)
+    _wedge(rt, rt.submit([Region(0, 1, "rw")], lambda: None, label="first"))
+    rt.submit([Region(0, 1, "rw")], lambda: None, label="second")
+    err = bounded(getattr(rt, method))
+    assert isinstance(err, DeadlockError)
+    assert "  'first': not ready\n  'second': slot 0 held by 'first'" in err.report
+
+
+@pytest.mark.parametrize("method", ["run", "run_virtual"])
+def test_deadlock_report_child_awaits_enclosing_release(method, bounded):
+    # the spawner's weak access is not write-satisfied behind the wedged writer,
+    # so the strong child in the chain under it is not either
+    rt = Runtime(slots=1, workers=2)
+    _wedge(rt, rt.submit([Region(0, 1, "rw")], lambda: None, label="first"))
+
+    def spawner():
+        rt.submit([Region(0, 1, "rw")], lambda: None, label="child")
+
+    rt.submit([Region(0, 1, "rw", weak=True)], spawner, label="spawner", spawns=True)
+    err = bounded(getattr(rt, method))
+    assert isinstance(err, DeadlockError)
+    assert "  'child': slot 0 awaiting enclosing release" in err.report.splitlines()
+    assert "'spawner'" not in err.report  # it ran, so it is not pending
+
+
+@pytest.mark.parametrize("method", ["run", "run_virtual"])
+def test_access_done_before_satisfied(method):
+    # the spawners' weak accesses, between the writer and the reader, are done
+    # before the writer's is, so the pointers pass over both when the writer ends
+    rt = Runtime(slots=1, workers=2)
+    order = []
+
+    def writer():
+        if method == "run":  # hold on until the spawners have finished
+            deadline = time.monotonic() + 5
+            while any(s.end_t is None for s in spawners) and time.monotonic() < deadline:
+                time.sleep(0.001)
+        order.append("writer")
+
+    rt.submit([Region(0, 1, "rw")], writer, label="writer", cost=5.0)
+    spawners = [
+        rt.submit([Region(0, 1, "rw", weak=True)], lambda: None, label=f"s{i}", spawns=True)
+        for i in range(2)
+    ]
+    rt.submit([Region(0, 1, "r")], lambda: order.append("reader"), label="reader")
+    graph = getattr(rt, method)()
+    writer_t, reader_t = graph.find_one("writer"), graph.find_one("reader")
+    assert order == ["writer", "reader"]
+    assert max(s.end_t for s in spawners) < writer_t.body_end_t
+    assert writer_t.body_end_t <= reader_t.ready_t <= reader_t.start_t
 
 
 @pytest.mark.parametrize("wd_er", [True, False])
