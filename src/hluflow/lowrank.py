@@ -122,75 +122,73 @@ def compress_dense(d, ctl: TruncationControl) -> LowRank:
 
 # -- dense kernels ----------------------------------------------------------
 
-_LU_BASE = 48
 _PIVOT_RTOL = 1e-12
 
 
 def lu_nopivot(a, block_path=""):
     """In-place unpivoted LU: a is overwritten with unit-lower L and U.
 
-    The diagonal of L is implied.  Pivots with magnitude at most
-    _PIVOT_RTOL times the largest entry of the input abort with
-    SingularBlockError, naming the pivot's row within the block, rather
-    than producing garbage.  Blocked recursion
-    keeps the bulk of the work in matrix-matrix products.
+    The diagonal of L is implied.  LAPACK's getrf factors a Fortran copy
+    with the GIL released; where its partial pivoting swaps a row, or
+    without the binding, the copy is eliminated row by row without
+    pivoting instead.  A non-finite entry, or a pivot of magnitude at most
+    _PIVOT_RTOL times the largest entry of the input, aborts with
+    SingularBlockError naming the block (and the pivot's row within it),
+    leaving a unchanged, rather than producing garbage.
     """
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("LU requires a square block")
+    if not np.isfinite(a).all():
+        raise SingularBlockError(f"non-finite entry in block {block_path or '<root>'}", block_path)
     pivot_tol = _PIVOT_RTOL * float(np.max(np.abs(a))) if n else 0.0
-
-    def base(v, row):
-        for j in range(v.shape[0]):
-            p = v[j, j]
-            if abs(p) <= pivot_tol:
-                raise SingularBlockError(
-                    f"pivot {p:.3e} below tolerance {pivot_tol:.3e} in row {row + j} of block "
-                    f"{block_path or '<root>'}",
-                    block_path,
-                )
-            v[j + 1 :, j] /= p
-            v[j + 1 :, j + 1 :] -= np.outer(v[j + 1 :, j], v[j, j + 1 :])
-
-    def rec(v, row):
-        m = v.shape[0]
-        if m <= _LU_BASE:
-            base(v, row)
-            return
-        h = m // 2
-        a11 = v[:h, :h]
-        a12 = v[:h, h:]
-        a21 = v[h:, :h]
-        a22 = v[h:, h:]
-        rec(a11, row)
-        trsm_lower_unit(a11, a12)
-        trsm_upper_right(a11, a21)
-        gemm_update(a22, a21, a12)
-        rec(a22, row + h)
-
-    rec(a, 0)
+    f = np.array(a, dtype=float, order="F")
+    piv = np.zeros(n, dtype=np.int64)
+    if n and _dgetrf is not None:
+        size, info = ctypes.c_int64(n), ctypes.c_int64()
+        _dgetrf(size, size, f.ctypes.data, size, piv.ctypes.data, info)
+    if not np.array_equal(piv, np.arange(1, n + 1)):  # pivoted, or no binding
+        f[...] = a
+        for j in range(n):
+            if abs(f[j, j]) <= pivot_tol:
+                break
+            f[j + 1 :, j] /= f[j, j]
+            f[j + 1 :, j + 1 :] -= np.outer(f[j + 1 :, j], f[j, j + 1 :])
+    small = np.flatnonzero(np.abs(np.diagonal(f)) <= pivot_tol)
+    if small.size:
+        j = small[0]
+        raise SingularBlockError(
+            f"pivot {f[j, j]:.3e} below tolerance {pivot_tol:.3e} in row {j} of block "
+            f"{block_path or '<root>'}",
+            block_path,
+        )
+    a[...] = f
     return a
 
 
 def _openblas():
-    """(file name, cblas_dgemm, cblas_dtrsm, set_num_threads) of the ILP64 OpenBLAS numpy has loaded."""
+    """(file name, cblas_dgemm, cblas_dtrsm, dgetrf, set_num_threads) of the ILP64
+    OpenBLAS numpy has loaded; dgetrf is the Fortran interface, every integer an
+    int64 passed by reference."""
     try:
         path = next((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))
         lib = ctypes.CDLL(str(path))
-        gemm, trsm = lib.scipy_cblas_dgemm64_, lib.scipy_cblas_dtrsm64_
+        gemm, trsm, getrf = lib.scipy_cblas_dgemm64_, lib.scipy_cblas_dtrsm64_, lib.scipy_dgetrf_64_
         threads = lib.scipy_openblas_set_num_threads64_
     except (StopIteration, OSError, AttributeError):
-        return "scipy", None, None, None
+        return "scipy", None, None, None, None
     e, i, d, p = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    r = ctypes.POINTER(i)
     gemm.argtypes = [e, e, e, i, i, i, d, p, i, p, i, d, p, i]
     trsm.argtypes = [e, e, e, e, e, i, i, d, p, i, p, i]
+    getrf.argtypes = [r, r, p, r, p, r]
     threads.argtypes = [e]
-    gemm.restype = trsm.restype = threads.restype = None
-    return path.name, gemm, trsm, threads
+    gemm.restype = trsm.restype = getrf.restype = threads.restype = None
+    return path.name, gemm, trsm, getrf, threads
 
 
 # The OpenBLAS file the kernels call, GIL released per call, or "scipy" without it.
-BLAS_LIBRARY, _dgemm, _dtrsm, _set_threads = _openblas()
+BLAS_LIBRARY, _dgemm, _dtrsm, _dgetrf, _set_threads = _openblas()
 _ROW, _COL, _NO, _T, _UP, _LO, _NONUNIT, _UNIT, _LEFT, _RIGHT = 101, 102, 111, 112, 121, 122, 131, 132, 141, 142
 # Alone and cache-hot (one BLAS thread, min of 5) the binding takes 26 / 47 / 119 us
 # on a 64^3 / 96^3 / 128^3 product and numpy's c -= a @ b 12.5 / 40 / 133 us, but

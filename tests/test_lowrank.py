@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import hluflow.lowrank as lowrank
 from hluflow.lowrank import (
@@ -16,6 +17,7 @@ from hluflow.lowrank import (
     trsm_lower_unit,
     trsm_upper_right,
 )
+from test_hlu import unpivoted_lu_oracle
 
 
 # gemm_update targets: base shape, view of the base, the view's (C-contiguous,
@@ -72,17 +74,17 @@ def symbols_missing(monkeypatch):
     """Load the binding as on a host whose library lacks the symbols."""
     monkeypatch.setattr(lowrank.ctypes, "CDLL", lambda path: object())
     loaded = lowrank._openblas()
-    assert loaded == ("scipy", None, None, None)
-    for name, value in zip(("BLAS_LIBRARY", "_dgemm", "_dtrsm", "_set_threads"), loaded):
+    assert loaded == ("scipy", None, None, None, None)
+    for name, value in zip(("BLAS_LIBRARY", "_dgemm", "_dtrsm", "_dgetrf", "_set_threads"), loaded):
         monkeypatch.setattr(lowrank, name, value)
 
 
 @pytest.fixture
 def binding_calls(monkeypatch):
-    """Counts of the calls into the binding's dgemm and dtrsm handles."""
+    """Counts of the calls into the binding's dgemm, dtrsm and dgetrf handles."""
     if lowrank._dgemm is None:
         pytest.skip("numpy ships no ILP64 OpenBLAS here")
-    calls = {"_dgemm": 0, "_dtrsm": 0}
+    calls = {"_dgemm": 0, "_dtrsm": 0, "_dgetrf": 0}
     for name in calls:
 
         def counted(*args, name=name, fn=getattr(lowrank, name)):
@@ -91,6 +93,23 @@ def binding_calls(monkeypatch):
 
         monkeypatch.setattr(lowrank, name, counted)
     return calls
+
+
+def pivoting_block(rng):
+    """A 64x64 block whose unpivoted LU exists but whose small leading pivot
+    partial pivoting would swap away."""
+    a = rng.standard_normal((64, 64)) + 64 * np.eye(64)
+    a[0, 0] = 0.5
+    assert not np.array_equal(scipy.linalg.lu_factor(a)[1], np.arange(64))
+    return a
+
+
+def check_lu_oracle(a):
+    """lu_nopivot of a copy of a matches the unpivoted flat oracle at 1e-12."""
+    f = a.copy()
+    lu_nopivot(f)
+    oracle = unpivoted_lu_oracle(a)
+    assert np.linalg.norm(f - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 def random_lowrank(rng, m, n, k):
@@ -205,6 +224,8 @@ class TestDenseKernels:
         assert np.array_equal(a, np.eye(5))
 
     def test_lu_2x2_by_hand(self):
+        # partial pivoting would swap the rows (|4| > |2|): getrf's result is
+        # dropped and the row-by-row elimination gives the unpivoted factors
         a = np.array([[2.0, 1.0], [4.0, 5.0]])
         lu_nopivot(a)
         assert np.array_equal(a, np.array([[2.0, 1.0], [2.0, 3.0]]))
@@ -236,11 +257,38 @@ class TestDenseKernels:
         assert "in row 1 of block diag" in str(err.value)
 
     def test_lu_singular_pivot_names_its_row(self):
-        # the blocked recursion splits 100 rows at 50 and 75: the row is the block's
+        # column 80 is zero, so getrf keeps every row in place and the zero
+        # pivot is read off the diagonal of its result: the row is the block's
         a = np.eye(100)
         a[80, 80] = 0.0
         with pytest.raises(SingularBlockError, match=r"in row 80 of block lu\[0:100\)"):
             lu_nopivot(a, block_path="lu[0:100)x[0:100)")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_lu_rejects_non_finite_entry(self, value):
+        a = 4 * np.eye(4)
+        a[0, 2] = value
+        before = a.copy()
+        with pytest.raises(SingularBlockError, match=r"^non-finite entry in block diag$"):
+            lu_nopivot(a, block_path="diag")
+        assert np.array_equal(a, before, equal_nan=True)
+
+    def test_lu_fallback_where_getrf_would_pivot(self, rng):
+        check_lu_oracle(pivoting_block(rng))
+
+    @pytest.mark.parametrize("pivots", [False, True], ids=["getrf", "fallback"])
+    def test_lu_zero_pivot_row_on_both_paths(self, rng, pivots):
+        # identity outside rows 0-1; row 40 gets a zero pivot after the
+        # leading rows have been eliminated, on either path
+        a = np.eye(64)
+        if pivots:
+            a[:2, :2] = [[0.5, 1.0], [1.0, 3.0]]
+            assert not np.array_equal(scipy.linalg.lu_factor(a)[1], np.arange(64))
+        a[40, 40] = 0.0
+        before = a.copy()
+        with pytest.raises(SingularBlockError, match=r"in row 40 of block lu\[0:64\)"):
+            lu_nopivot(a, block_path="lu[0:64)x[0:64)")
+        assert np.array_equal(a, before)
 
     def test_trsm_lower(self, rng):
         n = 16
@@ -350,6 +398,15 @@ class TestBlasLayouts:
 
 
 class TestBlasDispatch:
+    def test_lu_is_one_getrf_call(self, rng, binding_calls):
+        a = rng.standard_normal((64, 64)) + 64 * np.eye(64)
+        lu_nopivot(a)
+        assert binding_calls == {"_dgemm": 0, "_dtrsm": 0, "_dgetrf": 1}
+
+    def test_symbols_missing_lu_meets_oracle(self, rng, symbols_missing):
+        check_lu_oracle(rng.standard_normal((64, 64)) + 64 * np.eye(64))
+        check_lu_oracle(pivoting_block(rng))
+
     def test_library_named(self):
         bundled = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))
         if bundled:
@@ -361,7 +418,7 @@ class TestBlasDispatch:
     def test_large_gemm_and_every_trsm_use_binding(self, rng, binding_calls):
         c = rng.standard_normal((64, 64))
         gemm_update(c, rng.standard_normal((64, 64)), rng.standard_normal((64, 64)))
-        assert binding_calls == {"_dgemm": 1, "_dtrsm": 0}
+        assert binding_calls == {"_dgemm": 1, "_dtrsm": 0, "_dgetrf": 0}
         l = np.eye(16) + np.tril(rng.standard_normal((16, 16)), -1) / 32
         u = np.eye(16) + np.triu(rng.standard_normal((16, 16))) / 32
         for b in (rng.standard_normal((16, 3)), rng.standard_normal((3, 16)).T):
@@ -369,12 +426,12 @@ class TestBlasDispatch:
             trsm_lower_unit(l.T.copy().T, b)
             trsm_upper_right(u, b.T)
             trsm_upper_right(u.T.copy().T, b.T)
-        assert binding_calls == {"_dgemm": 1, "_dtrsm": 8}
+        assert binding_calls == {"_dgemm": 1, "_dtrsm": 8, "_dgetrf": 0}
         # an empty right-hand side returns at once, even as an addressable window
         x = rng.standard_normal((16, 16))
         assert trsm_lower_unit(l, x[:, 3:3]).shape == (16, 0)
         assert trsm_upper_right(u, x[3:3, :]).shape == (0, 16)
-        assert binding_calls == {"_dgemm": 1, "_dtrsm": 8}
+        assert binding_calls == {"_dgemm": 1, "_dtrsm": 8, "_dgetrf": 0}
 
     def test_small_or_strided_gemm_takes_numpy_path(self, rng, binding_calls):
         a, b = rng.standard_normal((16, 16)), rng.standard_normal((16, 16))
@@ -398,7 +455,7 @@ class TestBlasDispatch:
         want = c - a @ b
         gemm_update(c, a, b)
         assert np.allclose(c, want, rtol=1e-12, atol=1e-12)
-        assert binding_calls == {"_dgemm": 0, "_dtrsm": 0}
+        assert binding_calls == {"_dgemm": 0, "_dtrsm": 0, "_dgetrf": 0}
 
 
 def test_truncation_control_validation():
