@@ -115,7 +115,7 @@ def _plan_for(cfg: BenchConfig, h, mode):
 
 def _timed_runs(cfg, template, mode):
     """Times of ``cfg.repetitions`` factorizations of copies of ``template`` and
-    of their ``make_plan`` calls, the last factored copy and its flop count."""
+    of their ``make_plan`` calls, and the last plan, its matrix factored."""
     times, plan_times = [], []
     for _ in range(cfg.repetitions):
         h = template.copy()
@@ -125,7 +125,7 @@ def _timed_runs(cfg, template, mode):
         hlu_factorize(plan)
         times.append(time.perf_counter() - t1)
         plan_times.append(t1 - t0)
-    return times, plan_times, h, plan.flops.total
+    return times, plan_times, plan
 
 
 def run_bench(cfg: BenchConfig) -> dict:
@@ -134,6 +134,7 @@ def run_bench(cfg: BenchConfig) -> dict:
     Returns one JSON-ready row: the config's fields, then ``times`` (one per
     repetition), their median ``time``, the median ``plan_time`` of the
     ``make_plan`` calls (formats and coalesced storage, outside ``time``),
+    ``slots``, the plan's skeleton size (the leaves of the tree it factors),
     the median sequential time over ``time`` as ``speedup`` (1.0 in seq
     mode), ``flops``, ``gflops`` at the fastest repetition, the probe
     ``residual`` and the largest rank of a low-rank leaf of the factors,
@@ -141,21 +142,22 @@ def run_bench(cfg: BenchConfig) -> dict:
     """
     cfg.validate()
     template = build_case(cfg)
-    times, plan_times, factored, counted = _timed_runs(cfg, template, cfg.mode)
+    times, plan_times, plan = _timed_runs(cfg, template, cfg.mode)
     median = statistics.median(times)
     speedup = 1.0
     if cfg.mode == "par":
         speedup = statistics.median(_timed_runs(cfg, template, "seq")[0]) / median
-    flops = 2.0 * cfg.n**3 / 3.0 if cfg.case == "dense2x2" else counted
-    ranks = [leaf.data.k for leaf in factored.leaves() if leaf.kind == LOWRANK]
+    flops = 2.0 * cfg.n**3 / 3.0 if cfg.case == "dense2x2" else plan.flops.total
+    ranks = [leaf.data.k for leaf in plan.matrix.leaves() if leaf.kind == LOWRANK]
     return {
         **asdict(cfg),
         "times": times,
         "time": median,
         "plan_time": statistics.median(plan_times),
+        "slots": plan.skeleton.size,
         "speedup": speedup,
         "flops": flops,
         "gflops": flops / min(times) / 1e9,
-        "residual": residual_probe(template, factored, cfg.seed),
+        "residual": residual_probe(template, plan.matrix, cfg.seed),
         "peak_rank": max(ranks, default=0),
     }

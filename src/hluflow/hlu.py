@@ -21,7 +21,8 @@ half-block bound; parallel runs match the sequential result bit for bit.
 Leaf formats are fixed by ``make_plan`` before any run: it stores dense each
 low-rank leaf that a dense x dense update alone would push to that bound,
 and coalesces each small all-dense node into one array that the recursion
-factors as one dense leaf: storage changes shape, its regions do not.
+factors as one dense leaf.  The skeleton numbers the leaves of that coarse
+tree, so a coalesced node is one slot: regions follow the storage's grain.
 """
 
 from __future__ import annotations
@@ -86,6 +87,13 @@ class HluPlan:
     def __post_init__(self):
         if self.coarse is None:
             self.coarse = self.matrix
+        ranges = self.skeleton.ranges
+        for leaf in self.coarse.leaves():
+            if leaf.block not in ranges:
+                raise StructureError(
+                    f"the skeleton of {self.skeleton.size} slots has no interval for "
+                    f"{_lbl('leaf', leaf)} of the tree the recursion factors"
+                )
 
 
 def make_plan(
@@ -96,8 +104,8 @@ def make_plan(
     wd_er: bool = True,
     seed: int = 0,
 ) -> HluPlan:
-    """Fix the formats and storage of ``h``'s leaves; bundle it with its skeleton,
-    the tree the recursion factors and the settings.
+    """Fix the formats and storage of ``h``'s leaves; bundle it with the tree the
+    recursion factors, that tree's skeleton and the settings.
 
     One bodiless walk of the recursion in program order (``_Formats``) stores
     dense, in ``h`` and not in the matrices it shares blocks with, each
@@ -106,8 +114,9 @@ def make_plan(
     and smaller than ``_COALESCE_BELOW`` rows and columns, and whose larger
     side is at most n // 4 (the grain of 2 workers), becomes one array
     (``_coalesce``): ``h`` keeps its block tree, its leaves views into those
-    arrays, and ``plan.coarse`` holds each such node as one dense leaf.  All
-    of this is the same in every mode and for any ``workers`` and ``wd_er``.
+    arrays, and ``plan.coarse`` holds each such node as one dense leaf, which
+    ``plan.skeleton`` numbers as one slot.  All of this is the same in every
+    mode and for any ``workers`` and ``wd_er``.
     """
     if mode not in (SEQUENTIAL, PARALLEL):
         raise ValueError(f"unknown mode {mode!r}")
@@ -120,7 +129,7 @@ def make_plan(
             coarse = _coalesce(h, h.rows // 4)
     return HluPlan(
         matrix=h,
-        skeleton=build_skeleton(h),
+        skeleton=build_skeleton(coarse),
         truncation=ctl,
         mode=mode,
         workers=workers,

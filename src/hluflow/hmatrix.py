@@ -3,10 +3,12 @@
 An HMatrix mirrors its block tree: inadmissible leaves hold dense numpy
 arrays, admissible leaves LowRank factor pairs unless a plan stored them
 dense, partitioned nodes a grid of children.  The skeleton assigns every leaf
-one slot in a flat array, depth-first row-major, so that the slots below any
-block-tree node form a contiguous interval.  Those intervals stand in for
-operand memory regions in dependency detection and never change, no matter
-how the low-rank factors are reallocated by the arithmetic.
+of the HMatrix it is given one slot in a flat array, depth-first row-major, so
+that the slots below any node form a contiguous interval.  Those intervals
+stand in for operand memory regions in dependency detection and never change,
+no matter how the low-rank factors are reallocated by the arithmetic.  Given a
+plan's coarse tree, a coalesced node is one leaf and one slot: dependencies are
+tracked at the grain the storage is factored in.
 
 Every product of an H-node or a leaf window with a block of vectors, from
 either side, plain, subtracting or restricted to a factored triangle, goes
@@ -119,11 +121,11 @@ def build_hmatrix(block: BlockNode, policy=_zero) -> HMatrix:
 
 
 class Skeleton:
-    """One immutable slot per H-matrix leaf, in depth-first row-major order.
+    """One immutable slot per leaf of an H-matrix tree, in depth-first row-major order.
 
-    ``ranges`` maps every block-tree node to the half-open interval of slot
-    indices covering the leaves below it, so intervals of any two nodes are
-    equal, nested or disjoint.
+    ``ranges`` maps the block of every node of that tree to the half-open
+    interval of slot indices covering the leaves below it, so intervals of
+    any two nodes are equal, nested or disjoint.
     """
 
     def __init__(self, size, ranges):
@@ -132,21 +134,25 @@ class Skeleton:
 
 
 def build_skeleton(h: HMatrix) -> Skeleton:
-    """Enumerate leaves depth-first row-major and record per-node intervals."""
+    """Enumerate the leaves of ``h`` depth-first row-major and record per-node intervals.
+
+    The leaves are ``h``'s, not its block tree's: a dense leaf over a
+    partitioned block (a node ``make_plan`` coalesced) takes one slot.
+    """
     ranges = {}
 
-    def visit(b, lo):
-        if b.kind != PARTITIONED:
-            ranges[b] = (lo, lo + 1)
+    def visit(node, lo):
+        if node.kind != PARTITIONED:
+            ranges[node.block] = (lo, lo + 1)
             return lo + 1
         hi = lo
-        for row in b.sons:
+        for row in node.data:
             for c in row:
                 hi = visit(c, hi)
-        ranges[b] = (lo, hi)
+        ranges[node.block] = (lo, hi)
         return hi
 
-    size = visit(h.block, 0)
+    size = visit(h, 0)
     return Skeleton(size, ranges)
 
 

@@ -46,7 +46,7 @@ class TestBenchConfig:
             BenchConfig(mode="hybrid").validate()
 
 
-MEASURES = ("times", "time", "plan_time", "speedup", "flops", "gflops", "residual", "peak_rank")
+MEASURES = ("times", "time", "plan_time", "slots", "speedup", "flops", "gflops", "residual", "peak_rank")
 
 
 class TestRunBench:

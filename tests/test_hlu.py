@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import re
 import threading
@@ -377,6 +378,22 @@ class TestCoalescing:
         assert any(t.spawns and t.parent is not None for t in graph.tasks)
         got = {(e.src.id, e.dst.id) for e in graph.edges}
         assert got == oracle_edges(graph.tasks)
+
+    def test_plan_rejects_a_skeleton_without_its_coarse_leaves(self):
+        # the skeleton make_plan builds numbers a coalesced node as one slot, so it
+        # has no interval for the matrix's leaves below that node
+        h = make_bem_case(3, 512, eta=1.0, leafsize=32, eps=1e-6).hmatrix
+        plan = make_plan(h, TruncationControl(1e-6))
+        node = h.child(0, 0).child(0, 0)
+        assert node.kind == PARTITIONED and node.block in plan.skeleton.ranges
+        (r0, r1), (c0, c1) = node.leaves()[0].row_range, node.leaves()[0].col_range
+        text = f"skeleton of {plan.skeleton.size} slots has no interval for leaf[{r0}:{r1})x[{c0}:{c1})"
+        with pytest.raises(StructureError, match=re.escape(text)):
+            HluPlan(h, plan.skeleton, plan.truncation)
+        # nor has the skeleton of a matrix over another block tree
+        other = make_bem_case(3, 512, eta=1.0, leafsize=32, eps=1e-6).hmatrix
+        with pytest.raises(StructureError, match="has no interval for leaf"):
+            HluPlan(other, plan.skeleton, plan.truncation)
 
 
 class TestSequentialMixed:
@@ -1040,8 +1057,9 @@ class TestDagSoundness:
         spans = {}
         for wd_er in (True, False):
             rt = Runtime(slots=sk.size, workers=4, wd_er=wd_er)
-            plan = make_plan(h.copy(), mode="parallel", workers=4, wd_er=wd_er)
-            _factor(_Emit(rt, plan), plan.matrix)
+            # a hand-built plan skips make_plan's coalescing: the uncoalesced graph
+            plan = HluPlan(h.copy(), sk, TruncationControl(), mode="parallel", workers=4, wd_er=wd_er)
+            _factor(_Emit(rt, plan), plan.coarse)
             spans[wd_er] = rt.run_virtual().makespan
         assert spans[True] <= spans[False]
         assert spans[True] < spans[False]  # strictly better on this structure
@@ -1092,7 +1110,43 @@ GRAPH_SHAPES = {
         "01b92cafb44341cfe2846769207db68d758ee4c2e6baaa8f07dff9f1581768c2",
         "465d9ff06d0495a299240cfae66444e04ece1de8bf7e5a8d3468dca727e4cf96",
     ),
+    # every partitioned node of bem3d's coarse tree (37 leaves) has a side above
+    # 256 = n // 4, the 2-worker grain, so from 2 workers on every level spawns
+    ("bem3d", 1): (
+        (31, 5, 22, 5),
+        "5113d6cb0fd3eccb7e83c3a4586ffd44ec5c00049170904430f4e3953f956f1b",
+        "98693572a383cb20a308dca43af8f06d2c34f034c466be68edd5b3b50752a08d",
+    ),
+    ("bem3d", 2): (
+        (149, 22, 116, 17),
+        "01418f764f06fa2643e56c9e15341a153c9a51ecfe60bf6c92fdc55f7ab017cc",
+        "97e6068b9d9741d7515a5e0edc5ba51cfac18185fb4ad589d21a2c69fb1831f8",
+    ),
+    ("bem3d", 4): (
+        (149, 22, 116, 17),
+        "01418f764f06fa2643e56c9e15341a153c9a51ecfe60bf6c92fdc55f7ab017cc",
+        "97e6068b9d9741d7515a5e0edc5ba51cfac18185fb4ad589d21a2c69fb1831f8",
+    ),
+    ("bem3d", 16): (
+        (149, 22, 116, 17),
+        "01418f764f06fa2643e56c9e15341a153c9a51ecfe60bf6c92fdc55f7ab017cc",
+        "97e6068b9d9741d7515a5e0edc5ba51cfac18185fb4ad589d21a2c69fb1831f8",
+    ),
 }
+
+# (d, n, leafsize, eta) of the bem cases the graph tests emit
+BEM_GRAPH_CASES = {"bem1d-512": (1, 512, 32, 0.5), "bem2d-512": (2, 512, 32, 0.5), "bem3d": (3, 1024, 64, 1.0)}
+
+
+@functools.lru_cache(maxsize=None)
+def bem_graph_matrix(case):
+    """The assembled matrix of a bem graph case; callers plan a copy."""
+    d, n, leafsize, eta = BEM_GRAPH_CASES[case]
+    return make_bem_case(d, n, eta=eta, leafsize=leafsize, eps=1e-6).hmatrix
+
+
+def edge_lines(graph):
+    return sorted(f"{e.src.label} -> {e.dst.label} ({e.weak})" for e in graph.edges)
 
 
 @pytest.mark.parametrize("wd_er", [True, False], ids=["wd_er", "taskwait"])
@@ -1102,12 +1156,12 @@ def test_emitted_graph_shape(case, workers, wd_er):
     if case == "dense2x2":
         h = dense2x2_matrix(256, 3)
     else:
-        h = make_bem_case(1, 512, eta=0.5, leafsize=32, eps=1e-6).hmatrix
+        h = bem_graph_matrix(case).copy()
     graph = emit_task_graph(
         make_plan(h, TruncationControl(1e-6), mode="parallel", workers=workers, wd_er=wd_er)
     )
     counts, with_er, without_er = GRAPH_SHAPES[case, workers]
-    lines = sorted(f"{e.src.label} -> {e.dst.label} ({e.weak})" for e in graph.edges)
+    lines = edge_lines(graph)
     assert (
         len(graph.tasks),
         sum(t.spawns for t in graph.tasks),
@@ -1116,6 +1170,28 @@ def test_emitted_graph_shape(case, workers, wd_er):
     ) == (counts if wd_er else counts[:3] + (0,))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == (with_er if wd_er else without_er)
+
+
+@pytest.mark.parametrize("wd_er", [True, False], ids=["wd_er", "taskwait"])
+@pytest.mark.parametrize("workers", [1, 2, 4, 16])
+@pytest.mark.parametrize("case", ["bem3d", "bem2d-512"])
+def test_coarse_skeleton_orders_the_same_tasks(case, workers, wd_er):
+    # every access declares whole leaves of the coarse tree, so numbering its
+    # leaves instead of the matrix's enforces the same edges with fewer nodes:
+    # each access puts one chain node on every slot of its region
+    plan = make_plan(
+        bem_graph_matrix(case).copy(), TruncationControl(1e-6),
+        mode="parallel", workers=workers, wd_er=wd_er,
+    )
+    fine = HluPlan(
+        plan.matrix, build_skeleton(plan.matrix), plan.truncation,
+        mode="parallel", workers=workers, wd_er=wd_er, coarse=plan.coarse,
+    )
+    assert plan.skeleton.size == len(plan.coarse.leaves()) < fine.skeleton.size
+    graphs = [emit_task_graph(p) for p in (plan, fine)]
+    assert edge_lines(graphs[0]) == edge_lines(graphs[1])
+    nodes = [sum(r.hi - r.lo for t in g.tasks for r in t.regions) for g in graphs]
+    assert nodes[0] < nodes[1]
 
 
 def test_sequential_mode_uses_no_runtime(monkeypatch):
