@@ -24,13 +24,7 @@ from .hmatrix import (
     structure_dump,
 )
 from .kernels import KernelConfig, assemble_hmatrix, kernel_eval, make_bem_case
-from .lowrank import (
-    LowRank,
-    SingularBlockError,
-    TruncationControl,
-    add_truncated,
-    compress_dense,
-)
+from .lowrank import LowRank, SingularBlockError, TruncationControl
 from .hlu import (
     HluPlan,
     emit_task_graph,

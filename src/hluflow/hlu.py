@@ -228,34 +228,34 @@ def _product_grid(a, b, c=None):
             yield i, j, rr, cc, pairs
 
 
-def _multiply_lowrank(a, b) -> LowRank:
-    """The exact product a @ b of two H-operands; its factors may share the operands' memory."""
+def _product(a, b):
+    """The exact product a @ b of two H-operands as a factor pair (u, vt), u @ vt == a @ b.
+
+    The factors may share the operands' memory; with a partitioned operand the
+    pair stacks the pairs of the grid's cells, each zero-padded to the whole.
+    """
     if a.kind == LOWRANK:
         fa = a.data
-        # b.T @ fa.b, written as (fa.b.T @ b).T
-        return LowRank(fa.a, _times(b, fa.b.T, right=True).T)
+        return fa.a, _times(b, fa.b.T, right=True)
     if b.kind == LOWRANK:
         fb = b.data
-        return LowRank(_times(a, fb.a), fb.b)
+        return _times(a, fb.a), fb.b.T
     if a.kind == DENSE and b.kind == DENSE:
-        return LowRank(a.data, b.data.T)
-    parts = [(rr, cc, _multiply_lowrank(ap, bp))
+        return a.data, b.data
+    parts = [(rr, cc, *_product(ap, bp))
              for _, _, rr, cc, pairs in _product_grid(a, b) for ap, bp in pairs]
-    return parts[0][2] if len(parts) == 1 else _merge_lowrank(parts)
-
-
-def _merge_lowrank(parts):
-    """One exact LowRank from (rows, cols, LowRank) parts of a grid, any per cell, zero-padded."""
+    if len(parts) == 1:
+        return parts[0][2:]
     r0, c0 = parts[0][0][0], parts[0][1][0]
-    k_total = sum(p.k for _, _, p in parts)
+    k_total = sum(pu.shape[1] for _, _, pu, _ in parts)
     u = np.zeros((parts[-1][0][1] - r0, k_total))
-    v = np.zeros((parts[-1][1][1] - c0, k_total))
+    vt = np.zeros((k_total, parts[-1][1][1] - c0))
     off = 0
-    for rr, cc, p in parts:
-        u[rr[0] - r0 : rr[1] - r0, off : off + p.k] = p.a
-        v[cc[0] - c0 : cc[1] - c0, off : off + p.k] = p.b
-        off += p.k
-    return LowRank(u, v)
+    for rr, cc, pu, pvt in parts:
+        u[rr[0] - r0 : rr[1] - r0, off : off + pu.shape[1]] = pu
+        vt[off : off + pu.shape[1], cc[0] - c0 : cc[1] - c0] = pvt
+        off += pu.shape[1]
+    return u, vt
 
 
 # -- operations and the recursion ------------------------------------------------------
@@ -397,11 +397,11 @@ class _Sum:
     def __init__(self, x):
         self.a_parts, self.b_parts, self.k, self.shape = [x.a], [x.b], x.k, x.shape
 
-    def sub(self, p):
-        """This sum minus the LowRank p, keeping none of p's memory."""
-        self.a_parts.append(-p.a)
-        self.b_parts.append(p.b.copy())
-        self.k += p.k
+    def sub(self, u, vt):
+        """This sum minus u @ vt, keeping none of the pair's memory."""
+        self.a_parts.append(-u)
+        self.b_parts.append(vt.T.copy())
+        self.k += u.shape[1]
         return self
 
     a = property(lambda self: np.hstack(self.a_parts))
@@ -436,32 +436,22 @@ def _kernel(op, ctl, flops):
         dst, src = _target(x, right), _target(b, right)
         _matvec_into(a, src, dst, right=right, acc=gemm_update)
         flops.add(2 * dst.shape[0] * dst.shape[1] * src.shape[1 if right else 0])
-    elif x.kind == LOWRANK:
-        # low-rank destination: append the product to the exact sum and flush a sum
-        # that reaches half the block size; a dense pair forms no product
-        p, d = _multiply_lowrank(a, b), x.data
-        (m, n), inner = p.shape, a.col_range[1] - a.col_range[0]
-        if p.k:
-            x.data = (d if isinstance(d, _Sum) else _Sum(d)).sub(p)
+    else:
+        # one exact factor pair of the product: a dense x subtracts it, a low-rank x
+        # appends it to its sum and flushes a sum that reaches half the block size
+        u, vt = _product(a, b)
+        (m, k), n = u.shape, vt.shape[1]
+        if x.kind == DENSE:
+            gemm_update(x.data, u, vt)
+        elif k:
+            d = x.data
+            x.data = (d if isinstance(d, _Sum) else _Sum(d)).sub(u, vt)
             if x.data.k >= min(m, n) / 2:
                 _flush(x, ctl, flops)
-        formed = 0 if a.kind == b.kind == DENSE else p.k * (n if a.kind == LOWRANK else m)
-        flops.add(2 * formed * inner)
-    else:
-        # dense destination, leaf operands: plain subtract of the product
-        dst = x.data
-        if a.kind == LOWRANK:
-            fa = a.data
-            gemm_update(dst, fa.a, _times(b, fa.b.T, right=True))
-            flops.add(2 * fa.k * (dst.shape[0] + dst.shape[1]) * dst.shape[1])
-        elif b.kind == LOWRANK:
-            fb = b.data
-            gemm_update(dst, _times(a, fb.a), fb.b.T)
-            flops.add(2 * fb.k * (dst.shape[0] + dst.shape[1]) * dst.shape[0])
-        else:
-            av = a.data
-            gemm_update(dst, av, b.data)
-            flops.add(2 * dst.shape[0] * dst.shape[1] * av.shape[1])
+        # forming the pair (a dense pair forms nothing), then applying it to a dense x
+        formed = 0 if a.kind == b.kind == DENSE else k * (n if a.kind == LOWRANK else m)
+        inner = a.col_range[1] - a.col_range[0]
+        flops.add(2 * formed * inner + (2 * m * n * k if x.kind == DENSE else 0))
 
 
 # -- executors: ``run(op, leaf)`` takes a leaf op or a recursion level ---------------------

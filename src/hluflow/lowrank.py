@@ -9,6 +9,7 @@ an explicit accuracy contract.
 from __future__ import annotations
 
 import ctypes
+import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,8 +40,9 @@ class TruncationControl:
     def __post_init__(self):
         if not 0 <= self.eps < float("inf"):
             raise ValueError("eps must be finite and >= 0")
-        if self.kmax is not None and self.kmax < 0:
-            raise ValueError("kmax must be >= 0 if set")
+        k = self.kmax
+        if k is not None and (isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0):
+            raise ValueError(f"kmax must be an integer >= 0 if set, got {k!r}")
 
 
 class LowRank:

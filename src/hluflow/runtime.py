@@ -226,12 +226,6 @@ class TaskGraph:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def find_one(self, label):
-        hits = [t for t in self.tasks if t.label == label]
-        if len(hits) != 1:
-            raise KeyError(f"{len(hits)} tasks labeled {label!r}")
-        return hits[0]
-
     @property
     def makespan(self):
         starts = [t.start_t for t in self.tasks if t.start_t is not None]

@@ -37,3 +37,11 @@ def bounded():
         return outcome[0]
 
     return call
+
+
+def find_one(graph, label):
+    """The one task of a TaskGraph with this label; KeyError if none or several."""
+    hits = [t for t in graph.tasks if t.label == label]
+    if len(hits) != 1:
+        raise KeyError(f"{len(hits)} tasks labeled {label!r}")
+    return hits[0]

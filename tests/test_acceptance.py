@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import find_one
 from graphgen import materialize, oracle_edges, random_plan
 from hluflow.bench import BenchConfig, build_case, residual_probe, run_bench
 from hluflow.blocks import build_diagonal_2x2_tree
@@ -184,8 +185,8 @@ def test_criterion_5_weak_dependency_early_release_behavior():
         trace = hlu_factorize(
             make_plan(h, mode="parallel", workers=2, wd_er=wd_er, seed=seed)
         )
-        o1 = trace.find_one(lab_o1)
-        o21 = trace.find_one(lab_o21)
+        o1 = find_one(trace, lab_o1)
+        o21 = find_one(trace, lab_o21)
         return o21.start_t < o1.end_t
 
     crossed = sum(run(True, seed) for seed in range(100))

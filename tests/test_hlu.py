@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import find_one
 from graphgen import oracle_edges
 from hluflow.blocks import (
     ADMISSIBLE,
@@ -371,7 +372,7 @@ class TestCoalescing:
         h = make_bem_case(3, 512, eta=1.0, leafsize=32, eps=1e-6).hmatrix
         plan = make_plan(h, TruncationControl(1e-6), mode="parallel", workers=4)
         graph = emit_task_graph(plan)
-        lu = graph.find_one("lu[0:128)x[0:128)")
+        lu = find_one(graph, "lu[0:128)x[0:128)")
         node = h.child(0, 0).child(0, 0)
         assert node.kind == PARTITIONED and not lu.spawns
         assert [(r.lo, r.hi) for r in lu.regions] == [plan.skeleton.ranges[node.block]]
@@ -503,6 +504,20 @@ class TestSolves:
         assert flops.total == n * n * k
         assert np.linalg.norm(flatten(b) - want) <= 1e-12 * np.linalg.norm(want)
 
+    def test_lowrank_update_flops(self):
+        # a dense 16x16 leaf minus (rank-3 16x32) @ (dense 32x16): forming the
+        # pair costs 2 k n inner, applying it to the dense leaf 2 m n k
+        box = np.zeros(1)
+        t, s = Cluster(0, 16, box, box), Cluster(16, 48, box, box)
+        c = dense_leaf(BlockNode(t, t, INADMISSIBLE), seed=7)
+        a = lowrank_leaf(BlockNode(t, s, ADMISSIBLE), 3, seed=8)
+        b = dense_leaf(BlockNode(s, t, INADMISSIBLE), seed=9)
+        want = flatten(c) - flatten(a) @ flatten(b)
+        flops = FlopCounter()
+        _update(_Inline(TruncationControl(), flops), c, a, b)
+        assert flops.total == 2 * 3 * 16 * 32 + 2 * 16 * 16 * 3 == 4608
+        assert np.linalg.norm(flatten(c) - want) <= 1e-13 * np.linalg.norm(want)
+
     def test_update_dense_only_vs_flat_gemm(self):
         c = dense2x2_matrix(128, 3, seed=20)
         a = dense2x2_matrix(128, 3, seed=21)
@@ -565,30 +580,27 @@ class TestAccumulatedUpdates:
 
     def test_truncations_fewer_than_updates(self, monkeypatch):
         # each leaf's sum is flushed by its solve at most once, and apart from that
-        # by an update whose sum reaches half its size; every update body multiplies once
+        # by an update whose sum reaches half its size; bodies counts the update
+        # bodies into a low-rank leaf
         import hluflow.hlu as hlu_module
 
         case = make_bem_case(1, 512, eta=0.5, leafsize=32, eps=1e-6)
         h = case.hmatrix.copy()
         lowrank = [leaf for leaf in h.leaves() if leaf.kind == LOWRANK]
-        flushed, counts, depth = record_flushes(monkeypatch), {"bodies": 0, "truncations": 0}, [0]
+        flushed, counts = record_flushes(monkeypatch), {"bodies": 0, "truncations": 0}
 
         def recompress_counted(x, ctl):
             counts["truncations"] += 1
             return recompress(x, ctl)
 
-        multiply = hlu_module._multiply_lowrank
+        kernel = hlu_module._kernel
 
-        def multiply_counted(a, b):
-            counts["bodies"] += depth[0] == 0
-            depth[0] += 1
-            try:
-                return multiply(a, b)
-            finally:
-                depth[0] -= 1
+        def kernel_counted(op, ctl, flops):
+            counts["bodies"] += op.kind == "update" and op.x.kind == LOWRANK
+            return kernel(op, ctl, flops)
 
         monkeypatch.setattr(hlu_module, "recompress", recompress_counted)
-        monkeypatch.setattr(hlu_module, "_multiply_lowrank", multiply_counted)
+        monkeypatch.setattr(hlu_module, "_kernel", kernel_counted)
         hlu_factorize(make_plan(h, TruncationControl(1e-6)))
         assert counts["truncations"] == len(flushed) and counts["truncations"] * 3 <= counts["bodies"]
         by_solve = [id(leaf) for leaf, d in flushed if not at_bound(d)]
@@ -666,9 +678,18 @@ def graded_mixed(n, seed):
 
 
 def payloads(h):
-    """Every array an H-matrix's leaves hold."""
-    for leaf in h.leaves():
+    """Every array an H-matrix's leaves hold; of a window, its leaf's."""
+    for leaf in h.leaf.leaves() if isinstance(h, _Window) else h.leaves():
         yield from (leaf.data,) if leaf.kind == DENSE else (leaf.data.a, leaf.data.b)
+
+
+def dense_value(op):
+    """The dense value of an H-operand or a leaf window."""
+    if not isinstance(op, _Window):
+        return flatten(op)
+    r0, c0 = op.leaf.row_range[0], op.leaf.col_range[0]
+    (i0, i1), (j0, j1) = op.row_range, op.col_range
+    return flatten(op.leaf)[i0 - r0 : i1 - r0, j0 - c0 : j1 - c0]
 
 
 class TestExactProducts:
@@ -676,30 +697,48 @@ class TestExactProducts:
 
     @pytest.mark.parametrize(
         "kind_a, kind_b",
-        [("lowrank", "dense"), ("dense", "lowrank"), ("dense", "dense"), ("partitioned", "partitioned")],
+        [
+            ("lowrank", "dense"),
+            ("dense", "lowrank"),
+            ("dense", "dense"),
+            ("partitioned", "partitioned"),
+            ("lowrank", "lowrank"),
+            ("dense_window", "lowrank"),
+            ("lowrank_window", "dense"),
+            ("dense", "lowrank_window"),
+            ("lowrank", "dense_window"),
+        ],
     )
     def test_multiply_lowrank_is_exact(self, kind_a, kind_b):
-        from hluflow.hlu import _multiply_lowrank
+        # _product's factor pair is the exact product; a window keeps its leaf's
+        # first half of the rows (as a) or of the columns (as b)
+        from hluflow.hlu import _product
 
         block = mixed_matrix(64, leafsize=16, eta=0.5, seed=30).block
+        half = block.sons[0][0]
         make = {
             "lowrank": lambda seed: lowrank_leaf(block, 3, seed),
             "dense": lambda seed: dense_leaf(block, seed),
             "partitioned": lambda seed: graded_mixed(64, seed),
         }
-        a, b = make[kind_a](31), make[kind_b](32)
-        want = flatten(a) @ flatten(b)
-        got = _multiply_lowrank(a, b).value()
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        a, b = make[kind_a.removesuffix("_window")](31), make[kind_b.removesuffix("_window")](32)
+        rows, cols = block.row, block.col
+        if kind_a.endswith("_window"):
+            a, rows = _Window(a, half.row_range, a.col_range), half.row
+        if kind_b.endswith("_window"):
+            b, cols = _Window(b, b.row_range, half.col_range), half.col
+        want = dense_value(a) @ dense_value(b)
+        u, vt = _product(a, b)
+        assert np.linalg.norm(u @ vt - want) <= 1e-13 * np.linalg.norm(want)
 
         # the stored sum itself, before any flush, holds none of the operands' memory:
         # none of its factor parts, which it concatenates only when truncated (a
         # product of rank 32 or more takes the half-block bound at once)
-        c = lowrank_leaf(block, 2, seed=33)
+        c = lowrank_leaf(BlockNode(rows, cols, ADMISSIBLE), 2, seed=33)
         _update(_Inline(TruncationControl(1e-10), FlopCounter()), c, a, b)
         d = c.data
         parts = (*d.a_parts, *d.b_parts) if isinstance(d, _Sum) else (d.a, d.b)
-        assert isinstance(d, _Sum) == ("lowrank" in (kind_a, kind_b))
+        assert isinstance(d, _Sum) == any(k.startswith("lowrank") for k in (kind_a, kind_b))
         for x in parts:
             assert not any(np.shares_memory(x, y) for y in (*payloads(a), *payloads(b)))
 
@@ -734,22 +773,19 @@ class TestExactProducts:
         # make_plan meets one, while the bound itself stays reached
         import hluflow.hlu as hlu_module
 
-        multiply, flushed = hlu_module._multiply_lowrank, record_flushes(monkeypatch)
-        seen = {"depth": 0, "pairs": 0}
+        kernel, flushed = hlu_module._kernel, record_flushes(monkeypatch)
+        seen = {"pairs": 0}
 
-        def multiply_counted(a, b):
-            inner = a.col_range[1] - a.col_range[0]
-            side = min(a.row_range[1] - a.row_range[0], b.col_range[1] - b.col_range[0])
-            if seen["depth"] == 0 and a.kind == b.kind == DENSE and inner >= side / 2:
-                seen["pairs"] += 1
-            seen["depth"] += 1
-            try:
-                return multiply(a, b)
-            finally:
-                seen["depth"] -= 1
+        def kernel_counted(op, ctl, flops):
+            kind, c, a, b = op
+            if kind == "update" and c.kind == LOWRANK and a.kind == b.kind == DENSE:
+                inner = a.col_range[1] - a.col_range[0]
+                side = min(a.row_range[1] - a.row_range[0], b.col_range[1] - b.col_range[0])
+                seen["pairs"] += inner >= side / 2
+            return kernel(op, ctl, flops)
 
         case = make_bem_case(d, n, eta=1.0 if d == 3 else 0.5, leafsize=leafsize, eps=1e-6)
-        monkeypatch.setattr(hlu_module, "_multiply_lowrank", multiply_counted)
+        monkeypatch.setattr(hlu_module, "_kernel", kernel_counted)
         counts = {}
         for planned in (False, True):
             h, ctl = case.hmatrix.copy(), TruncationControl(1e-6)
@@ -1024,8 +1060,8 @@ class TestCrossing:
         lab_o21 = f"lsolve[0:{n // 4})x[{n // 2}:{3 * n // 4})"
         h = dense2x2_matrix(n, 2, upper_right_split=True)
         trace = hlu_factorize(make_plan(h, mode="parallel", workers=2, wd_er=True))
-        o1 = trace.find_one(lab_o1)
-        o21 = trace.find_one(lab_o21)
+        o1 = find_one(trace, lab_o1)
+        o21 = find_one(trace, lab_o21)
         assert o21.start_t < o1.end_t
 
     def test_taskwait_mode_serializes(self):
@@ -1034,8 +1070,8 @@ class TestCrossing:
         lab_o21 = f"lsolve[0:{n // 4})x[{n // 2}:{3 * n // 4})"
         h = dense2x2_matrix(n, 2, upper_right_split=True)
         trace = hlu_factorize(make_plan(h, mode="parallel", workers=2, wd_er=False))
-        o1 = trace.find_one(lab_o1)
-        o21 = trace.find_one(lab_o21)
+        o1 = find_one(trace, lab_o1)
+        o21 = find_one(trace, lab_o21)
         assert o21.start_t >= o1.end_t
 
 

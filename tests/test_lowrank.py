@@ -465,6 +465,18 @@ def test_truncation_control_validation():
         TruncationControl(1e-8, kmax=-1)
 
 
+@pytest.mark.parametrize("kmax", [2.5, True], ids=["float", "bool"])
+def test_truncation_control_rejects_non_integer_kmax(kmax):
+    # a float cap would fail as a slice index at the first truncation, and True
+    # would silently cap every rank at 1
+    with pytest.raises(ValueError, match="kmax must be an integer"):
+        TruncationControl(1e-8, kmax=kmax)
+
+
+def test_truncation_control_accepts_numpy_integer_kmax():
+    assert TruncationControl(1e-8, kmax=np.int64(3)).kmax == 3
+
+
 @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
 def test_truncation_control_rejects_non_finite_eps(eps):
     # a NaN or infinite tolerance would make every truncation keep rank 0

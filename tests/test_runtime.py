@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import find_one
 from graphgen import materialize, oracle_edges, random_plan
 from hluflow.runtime import (
     DeadlockError,
@@ -46,7 +47,7 @@ def test_write_chain_executes_in_order():
             )
         trace = rt.run()
         assert order == ["A", "B", "C"]
-        a, b, c = (trace.find_one(n) for n in "ABC")
+        a, b, c = (find_one(trace, n) for n in "ABC")
         assert a.end_t <= b.start_t <= b.end_t <= c.start_t
 
 
@@ -55,8 +56,8 @@ def test_second_writer_not_ready_until_first_releases():
     rt.submit([Region(0, 1, "rw")], lambda: time.sleep(0.05), label="first")
     rt.submit([Region(0, 1, "rw")], lambda: None, label="second")
     trace = rt.run()
-    first = trace.find_one("first")
-    second = trace.find_one("second")
+    first = find_one(trace, "first")
+    second = find_one(trace, "second")
     assert second.ready_t >= first.body_end_t
     assert second.start_t >= first.end_t
 
@@ -208,10 +209,10 @@ class TestCrossingDependencies:
         opener.start()
         trace = rt.run()
         opener.join()
-        p21 = trace.find_one("p2.1")
-        p1 = trace.find_one("p1")
+        p21 = find_one(trace, "p2.1")
+        p1 = find_one(trace, "p1")
         assert p21.start_t < p1.end_t
-        assert p21.end_t < trace.find_one("p1.rest").end_t
+        assert p21.end_t < find_one(trace, "p1.rest").end_t
 
     def test_taskwait_mode_blocks_crossing(self):
         rt = Runtime(slots=4, workers=2, wd_er=False)
@@ -219,8 +220,8 @@ class TestCrossingDependencies:
         gate.set()
         self.build(rt, gate)
         trace = rt.run()
-        p21 = trace.find_one("p2.1")
-        p1 = trace.find_one("p1")
+        p21 = find_one(trace, "p2.1")
+        p1 = find_one(trace, "p1")
         assert p21.start_t >= p1.end_t
 
 
@@ -343,7 +344,7 @@ def test_access_done_before_satisfied(method):
     ]
     rt.submit([Region(0, 1, "r")], lambda: order.append("reader"), label="reader")
     graph = getattr(rt, method)()
-    writer_t, reader_t = graph.find_one("writer"), graph.find_one("reader")
+    writer_t, reader_t = find_one(graph, "writer"), find_one(graph, "reader")
     assert order == ["writer", "reader"]
     assert max(s.end_t for s in spawners) < writer_t.body_end_t
     assert writer_t.body_end_t <= reader_t.ready_t <= reader_t.start_t
