@@ -15,9 +15,11 @@ the dependency structure of the recursion.  Below a granularity cutoff (see
 ``_Emit``) a whole level runs inline inside one strong task, as OpenMP's
 ``final`` clause would.
 
-Products are exact; a low-rank destination sums its updates in a fixed source
-order and is truncated only by its flush, before its triangular solve or at the
-half-block bound; parallel runs match the sequential result bit for bit.
+Products are exact.  An update with a low-rank operand is one leaf op whatever
+its destination's partition: it forms its product once and hands each leaf of
+the destination its slices.  A low-rank leaf sums its updates in a fixed
+source order and is truncated only by its flush, before its triangular solve
+or at the half-block bound; parallel runs match the sequential result bit for bit.
 Leaf formats are fixed by ``make_plan`` before any run: it stores dense each
 low-rank leaf that a dense x dense update alone would push to that bound,
 and coalesces each small all-dense node into one array that the recursion
@@ -231,8 +233,9 @@ def _product_grid(a, b, c=None):
 def _product(a, b):
     """The exact product a @ b of two H-operands as a factor pair (u, vt), u @ vt == a @ b.
 
-    The factors may share the operands' memory; with a partitioned operand the
-    pair stacks the pairs of the grid's cells, each zero-padded to the whole.
+    The factors may share the operands' memory; vt is a new array if a is
+    low-rank or an operand is partitioned, where the pair stacks the pairs of
+    the grid's cells, each zero-padded to the whole.
     """
     if a.kind == LOWRANK:
         fa = a.data
@@ -244,8 +247,6 @@ def _product(a, b):
         return a.data, b.data
     parts = [(rr, cc, *_product(ap, bp))
              for _, _, rr, cc, pairs in _product_grid(a, b) for ap, bp in pairs]
-    if len(parts) == 1:
-        return parts[0][2:]
     r0, c0 = parts[0][0][0], parts[0][1][0]
     k_total = sum(pu.shape[1] for _, _, pu, _ in parts)
     u = np.zeros((parts[-1][0][1] - r0, k_total))
@@ -317,9 +318,11 @@ def _solve(ex, f, b, right):
 def _update(ex, c, a, b):
     """c := c - a @ b in H-arithmetic; c may be a node or a dense window.
 
-    A low-rank c, or a dense c with leaf operands, is one leaf op.
+    An update with a low-rank operand or target, or with leaves only, is one
+    leaf op: it forms its product once and hands slices to every leaf of c.
     """
-    leaf = c.kind == LOWRANK or PARTITIONED not in (c.kind, a.kind, b.kind)
+    kinds = (c.kind, a.kind, b.kind)
+    leaf = LOWRANK in kinds or PARTITIONED not in kinds
     ex.run(_Op("update", c, a, b), leaf)
 
 
@@ -397,10 +400,10 @@ class _Sum:
     def __init__(self, x):
         self.a_parts, self.b_parts, self.k, self.shape = [x.a], [x.b], x.k, x.shape
 
-    def sub(self, u, vt):
-        """This sum minus u @ vt, keeping none of the pair's memory."""
+    def sub(self, u, vt, owned):
+        """This sum minus u @ vt, holding vt's memory only if ``owned`` (no operand's)."""
         self.a_parts.append(-u)
-        self.b_parts.append(vt.T.copy())
+        self.b_parts.append(vt.T if owned else vt.T.copy())
         self.k += u.shape[1]
         return self
 
@@ -437,21 +440,30 @@ def _kernel(op, ctl, flops):
         _matvec_into(a, src, dst, right=right, acc=gemm_update)
         flops.add(2 * dst.shape[0] * dst.shape[1] * src.shape[1 if right else 0])
     else:
-        # one exact factor pair of the product: a dense x subtracts it, a low-rank x
-        # appends it to its sum and flushes a sum that reaches half the block size
+        # one exact factor pair of the whole product, formed once; each leaf y of x (x
+        # itself if a leaf) takes its rows of u and columns of vt: a dense y subtracts
+        # them, a low-rank y appends them to its sum and flushes a sum that reaches
+        # half the block size
         u, vt = _product(a, b)
-        (m, k), n = u.shape, vt.shape[1]
-        if x.kind == DENSE:
-            gemm_update(x.data, u, vt)
-        elif k:
-            d = x.data
-            x.data = (d if isinstance(d, _Sum) else _Sum(d)).sub(u, vt)
-            if x.data.k >= min(m, n) / 2:
-                _flush(x, ctl, flops)
-        # forming the pair (a dense pair forms nothing), then applying it to a dense x
+        k, applied = u.shape[1], 0
+        r0, c0 = x.row_range[0], x.col_range[0]
+        owned = a.kind == LOWRANK or PARTITIONED in (a.kind, b.kind)  # _product formed vt
+        for y in x.leaves() if x.kind == PARTITIONED else (x,):
+            (i0, i1), (j0, j1) = y.row_range, y.col_range
+            yu, yvt = (u, vt) if y is x else (u[i0 - r0 : i1 - r0], vt[:, j0 - c0 : j1 - c0])
+            if y.kind == DENSE:
+                gemm_update(y.data, yu, yvt)
+                applied += (i1 - i0) * (j1 - j0)
+            elif k:
+                d = y.data
+                y.data = (d if isinstance(d, _Sum) else _Sum(d)).sub(yu, yvt, owned)
+                if y.data.k >= min(i1 - i0, j1 - j0) / 2:
+                    _flush(y, ctl, flops)
+        # forming the pair once (a dense pair forms nothing), then applying it to x's dense leaves
+        m, n = u.shape[0], vt.shape[1]
         formed = 0 if a.kind == b.kind == DENSE else k * (n if a.kind == LOWRANK else m)
         inner = a.col_range[1] - a.col_range[0]
-        flops.add(2 * formed * inner + (2 * m * n * k if x.kind == DENSE else 0))
+        flops.add(2 * formed * inner + 2 * applied * k)
 
 
 # -- executors: ``run(op, leaf)`` takes a leaf op or a recursion level ---------------------

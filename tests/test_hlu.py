@@ -518,6 +518,44 @@ class TestSolves:
         assert flops.total == 2 * 3 * 16 * 32 + 2 * 16 * 16 * 3 == 4608
         assert np.linalg.norm(flatten(c) - want) <= 1e-13 * np.linalg.norm(want)
 
+    def test_partitioned_update_forms_product_once(self, monkeypatch):
+        # a 2x2 c, dense diagonal and low-rank off-diagonal leaves, minus (rank-3
+        # 32x32) @ (partitioned 32x32) is one op: the pair is formed once, at
+        # 2 k n inner, each dense leaf subtracts its slices at 2 m n k and each
+        # low-rank leaf appends its own
+        import hluflow.hlu as hlu_module
+
+        box = np.zeros(1)
+
+        def split(lo):
+            halves = (Cluster(lo, lo + 16, box, box), Cluster(lo + 16, lo + 32, box, box))
+            return Cluster(lo, lo + 32, box, box, sons=halves)
+
+        def grid(rows, cols, seed):
+            rng = np.random.default_rng(seed)
+            sons = [[BlockNode(r, c, INADMISSIBLE if i == j else ADMISSIBLE) for j, c in enumerate(cols.sons)]
+                    for i, r in enumerate(rows.sons)]
+
+            def fill(block):
+                if block.kind == ADMISSIBLE:
+                    return LowRank(rng.standard_normal((block.rows, 2)), rng.standard_normal((block.cols, 2)))
+                return rng.standard_normal((block.rows, block.cols))
+
+            return build_hmatrix(BlockNode(rows, cols, PARTITIONED, sons), fill)
+
+        t, s = split(0), split(32)
+        c, b = grid(t, t, seed=7), grid(s, t, seed=9)
+        a = lowrank_leaf(BlockNode(t, s, ADMISSIBLE), 3, seed=8)
+        want = flatten(c) - flatten(a) @ flatten(b)
+        product, calls = hlu_module._product, []
+        monkeypatch.setattr(hlu_module, "_product", lambda a, b: calls.append(1) or product(a, b))
+        flops = FlopCounter()
+        _update(_Inline(TruncationControl(), flops), c, a, b)
+        assert len(calls) == 1
+        assert [isinstance(leaf.data, _Sum) for leaf in c.leaves()] == [False, True, True, False]
+        assert flops.total == 2 * 3 * 32 * 32 + 2 * (2 * 16 * 16 * 3) == 9216
+        assert np.linalg.norm(flatten(c) - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_update_dense_only_vs_flat_gemm(self):
         c = dense2x2_matrix(128, 3, seed=20)
         a = dense2x2_matrix(128, 3, seed=21)
@@ -580,29 +618,31 @@ class TestAccumulatedUpdates:
 
     def test_truncations_fewer_than_updates(self, monkeypatch):
         # each leaf's sum is flushed by its solve at most once, and apart from that
-        # by an update whose sum reaches half its size; bodies counts the update
-        # bodies into a low-rank leaf
+        # by an update whose sum reaches half its size; appends counts the pairs
+        # the update bodies append to low-rank leaves' sums.  98 is the count of
+        # truncations when every window of a cut operand formed its own product
         import hluflow.hlu as hlu_module
 
         case = make_bem_case(1, 512, eta=0.5, leafsize=32, eps=1e-6)
         h = case.hmatrix.copy()
         lowrank = [leaf for leaf in h.leaves() if leaf.kind == LOWRANK]
-        flushed, counts = record_flushes(monkeypatch), {"bodies": 0, "truncations": 0}
+        flushed, counts = record_flushes(monkeypatch), {"appends": 0, "truncations": 0}
 
         def recompress_counted(x, ctl):
             counts["truncations"] += 1
             return recompress(x, ctl)
 
-        kernel = hlu_module._kernel
+        sub = _Sum.sub
 
-        def kernel_counted(op, ctl, flops):
-            counts["bodies"] += op.kind == "update" and op.x.kind == LOWRANK
-            return kernel(op, ctl, flops)
+        def sub_counted(self, u, vt, owned):
+            counts["appends"] += 1
+            return sub(self, u, vt, owned)
 
         monkeypatch.setattr(hlu_module, "recompress", recompress_counted)
-        monkeypatch.setattr(hlu_module, "_kernel", kernel_counted)
+        monkeypatch.setattr(_Sum, "sub", sub_counted)
         hlu_factorize(make_plan(h, TruncationControl(1e-6)))
-        assert counts["truncations"] == len(flushed) and counts["truncations"] * 3 <= counts["bodies"]
+        assert counts["truncations"] == len(flushed) <= 98
+        assert counts["truncations"] < counts["appends"]
         by_solve = [id(leaf) for leaf, d in flushed if not at_bound(d)]
         assert by_solve and len(set(by_solve)) == len(by_solve)
         assert all(any(leaf is x for x in lowrank) for leaf, _ in flushed)
@@ -741,6 +781,24 @@ class TestExactProducts:
         assert isinstance(d, _Sum) == any(k.startswith("lowrank") for k in (kind_a, kind_b))
         for x in parts:
             assert not any(np.shares_memory(x, y) for y in (*payloads(a), *payloads(b)))
+
+    @pytest.mark.parametrize("kind_b", ["dense", "lowrank"])
+    @pytest.mark.parametrize("kind_a", ["dense", "lowrank"])
+    def test_sum_keeps_its_value_when_an_operand_changes(self, kind_a, kind_b):
+        # a sum may hold a pair's vt only where the product formed it: after an
+        # append, writing into every payload of both operands leaves its value as it was
+        box = np.zeros(1)
+        t, s = Cluster(0, 32, box, box), Cluster(32, 40, box, box)
+        make = {"dense": dense_leaf, "lowrank": lambda block, seed: lowrank_leaf(block, 3, seed)}
+        a = make[kind_a](BlockNode(t, s, INADMISSIBLE), 31)
+        b = make[kind_b](BlockNode(s, t, INADMISSIBLE), 32)
+        c = lowrank_leaf(BlockNode(t, t, ADMISSIBLE), 2, seed=33)
+        _update(_Inline(TruncationControl(), FlopCounter()), c, a, b)
+        assert isinstance(c.data, _Sum)  # rank 5 or 10, below the bound of 16
+        before = c.data.value()
+        for x in (*payloads(a), *payloads(b)):
+            x += 1.0
+        assert np.array_equal(c.data.value(), before)
 
     def test_factorization_compresses_no_dense_product(self, monkeypatch):
         # dense x dense products reach a low-rank leaf's sum exact, and the sums
@@ -1037,6 +1095,21 @@ class TestParallelEquivalence:
         )
         assert np.array_equal(flatten(h_par), flatten(h_seq))
 
+    @pytest.mark.parametrize("wd_er", [True, False], ids=["wd_er", "taskwait"])
+    @pytest.mark.parametrize("workers", [2, 3, 8, 16])
+    @pytest.mark.parametrize("case", ["bem1d-512", "bem2d-512"])
+    def test_lowrank_operand_updates_bitwise(self, case, workers, wd_er):
+        # an update with a low-rank operand is one op at every grain, so each worker
+        # count runs the sequential op sequence: the same payloads bit for bit, the same flops
+        ctl = TruncationControl(1e-6)
+        seq = make_plan(bem_graph_matrix(case).copy(), ctl)
+        hlu_factorize(seq)
+        par = make_plan(bem_graph_matrix(case).copy(), ctl, mode="parallel", workers=workers, wd_er=wd_er)
+        hlu_factorize(par)
+        assert par.flops.total == seq.flops.total
+        for x, y in zip(payloads(par.matrix), payloads(seq.matrix), strict=True):
+            assert np.array_equal(x, y)
+
     @pytest.mark.parametrize("case", ["dense2x2", "bem"])
     def test_flop_totals_exact(self, case):
         # integer estimates sum to the same total in any task completion order
@@ -1104,7 +1177,8 @@ class TestDagSoundness:
 # "src -> dst (weak)" edge lines with wd_er and without; without it no edge is weak.
 # make_plan coalesces the all-dense nodes of at most n // 4 = 64 rows (dense2x2's
 # diagonal 64-blocks, bem1d's diagonal 64-blocks): at 1 worker, and for bem1d at 2,
-# every coalesced node lies inside a collapsed task, so those graphs are unchanged
+# every coalesced node lies inside a collapsed task, so those graphs are unchanged.
+# An update with a low-rank operand is one task whatever its target's partition.
 GRAPH_SHAPES = {
     ("dense2x2", 1): (
         (6, 1, 5, 0),
@@ -1137,14 +1211,14 @@ GRAPH_SHAPES = {
         "f3bba7747de15cf572965dd7c4cb1e73d6236448028fd705173d636e71dd4a57",
     ),
     ("bem1d-512", 4): (
-        (238, 38, 145, 27),
-        "77b73a9a97e8d0b53de589a1ef08444ab0b9dfc057fb5b06a68e66de0006c4b4",
-        "7c3f4e8e0d668216abf64e5099e7900ce1ddba28af35ca6cec46678d94b749ee",
+        (194, 31, 129, 27),
+        "50fc1f0cbb27554cb432bac2011ea32746d1ed59729d1ade5c67a3e7a3ae4928",
+        "a6c1925add287ec34a2cb5e9d83d15358038104daa05f85cb20795e5ede4ccd4",
     ),
     ("bem1d-512", 16): (
-        (930, 145, 773, 105),
-        "01b92cafb44341cfe2846769207db68d758ee4c2e6baaa8f07dff9f1581768c2",
-        "465d9ff06d0495a299240cfae66444e04ece1de8bf7e5a8d3468dca727e4cf96",
+        (550, 82, 645, 77),
+        "47707605471a7faf42444653a1ed7cbf2985c7c6be9abdf4ff20d656974500a5",
+        "d35d93f274f4f5a31a58c55de72f11333d7db506a56e4b13eee46188fca0e054",
     ),
     # every partitioned node of bem3d's coarse tree (37 leaves) has a side above
     # 256 = n // 4, the 2-worker grain, so from 2 workers on every level spawns
