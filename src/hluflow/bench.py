@@ -2,9 +2,9 @@
 
 Two case families: the synthetic dense 2x2-recursive structure (all leaves
 dense, diagonally dominant random entries) and the kernel-assembled cases on
-the built-in geometries.  Timings cover the factorization only; correctness
-is reported as the worst relative residual of random matrix-vector probes
-against the pre-factorization matrix.
+the built-in geometries.  Timings cover the factorization, with assembly and
+planning timed apart; correctness is reported as the worst relative residual
+of random matrix-vector probes against the pre-factorization matrix.
 """
 
 from __future__ import annotations
@@ -134,6 +134,7 @@ def run_bench(cfg: BenchConfig) -> dict:
     Returns one JSON-ready row: the config's fields, then ``times`` (one per
     repetition), their median ``time``, the median ``plan_time`` of the
     ``make_plan`` calls (formats and coalesced storage, outside ``time``),
+    ``assemble_time``, the wall time of ``build_case`` (outside both),
     ``slots``, the plan's skeleton size (the leaves of the tree it factors),
     the median sequential time over ``time`` as ``speedup`` (1.0 in seq
     mode), ``flops``, ``gflops`` at the fastest repetition, the probe
@@ -141,7 +142,9 @@ def run_bench(cfg: BenchConfig) -> dict:
     ``peak_rank``.
     """
     cfg.validate()
+    t0 = time.perf_counter()
     template = build_case(cfg)
+    assemble_time = time.perf_counter() - t0
     times, plan_times, plan = _timed_runs(cfg, template, cfg.mode)
     median = statistics.median(times)
     speedup = 1.0
@@ -154,6 +157,7 @@ def run_bench(cfg: BenchConfig) -> dict:
         "times": times,
         "time": median,
         "plan_time": statistics.median(plan_times),
+        "assemble_time": assemble_time,
         "slots": plan.skeleton.size,
         "speedup": speedup,
         "flops": flops,

@@ -9,6 +9,7 @@ boxes and then recompressed by SVD.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,12 +40,17 @@ class KernelConfig:
     diag_distance: float | None = None
 
     def __post_init__(self):
-        if self.d not in (1, 2, 3):
-            raise ValueError("kernel dimension must be 1, 2 or 3")
-        if self.order == 0:
+        _check_dimension(self.d)
+        k = self.order
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+            raise ValueError(f"interpolation order must be an integer >= 1 (0: default), got {k!r}")
+        if k == 0:
             object.__setattr__(self, "order", default_order(self.d))
-        if self.order < 1:
-            raise ValueError("interpolation order must be >= 1")
+
+
+def _check_dimension(d):
+    if d not in (1, 2, 3):
+        raise ValueError("kernel dimension must be 1, 2 or 3")
 
 
 def _kernel_of_distance(r, d):
@@ -57,6 +63,7 @@ def _kernel_of_distance(r, d):
 
 def kernel_eval(x, y, d):
     """Laplace kernel value g(x, y) for dimension d; x != y required."""
+    _check_dimension(d)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     r = math.sqrt(float(np.sum((x - y) ** 2)))
@@ -66,8 +73,12 @@ def kernel_eval(x, y, d):
 
 
 def _pairwise_distance(xs, ys):
-    diff = xs[:, None, :] - ys[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    """Distances between the rows of xs and ys, squares summed axis by axis."""
+    r2 = None
+    for a in range(xs.shape[1]):
+        da = xs[:, a, None] - ys[None, :, a]
+        r2 = da * da if r2 is None else r2 + da * da
+    return np.sqrt(r2)
 
 
 def assemble_dense_block(points, t, s, cfg: KernelConfig):
@@ -98,9 +109,9 @@ def lagrange_basis(nodes, x):
     m = nodes.shape[0]
     if m == 1:
         return np.ones((x.shape[0], 1))
-    w = np.empty(m)
-    for mu in range(m):
-        w[mu] = 1.0 / np.prod(nodes[mu] - np.delete(nodes, mu))
+    # barycentric weights: row mu holds nodes[mu] - nodes[j] for j != mu
+    off = (nodes[:, None] - nodes[None, :])[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+    w = 1.0 / np.prod(off, axis=1)
     diff = x[:, None] - nodes[None, :]
     hit = diff == 0.0
     safe = np.where(hit, 1.0, diff)
@@ -113,53 +124,58 @@ def lagrange_basis(nodes, x):
     return out
 
 
-def _cluster_nodes(cluster, order):
-    """Tensor grid of interpolation nodes on the bounding box.
+def _cluster_basis(points, cluster, order):
+    """Tensor grid of interpolation nodes on the bounding box and the Lagrange
+    factor of the cluster's points: both depend on the cluster alone.
 
     Axes with zero extent collapse to the single center point, so the tensor
     rank only counts the non-degenerate directions.
     """
-    per_axis = []
-    for a in range(cluster.dim):
-        lo = cluster.bbox_min[a]
-        hi = cluster.bbox_max[a]
-        if hi == lo:
-            per_axis.append(np.array([lo]))
-        else:
-            per_axis.append(chebyshev_nodes(lo, hi, order))
-    mesh = np.meshgrid(*per_axis, indexing="ij")
-    grid = np.stack([g.reshape(-1) for g in mesh], axis=1)
-    return per_axis, grid
-
-
-def _interpolation_factor(points, cluster, per_axis):
     xs = points[cluster.start : cluster.end]
-    u = None
-    for a, nodes in enumerate(per_axis):
+    per_axis, u = [], None
+    for a in range(cluster.dim):
+        lo, hi = cluster.bbox_min[a], cluster.bbox_max[a]
+        nodes = np.array([lo]) if hi == lo else chebyshev_nodes(lo, hi, order)
+        per_axis.append(nodes)
         la = lagrange_basis(nodes, xs[:, a])
         u = la if u is None else (u[:, :, None] * la[:, None, :]).reshape(xs.shape[0], -1)
-    return u
+    mesh = np.meshgrid(*per_axis, indexing="ij")
+    return np.stack([g.reshape(-1) for g in mesh], axis=1), u
 
 
-def assemble_lowrank_block(points, t, s, cfg: KernelConfig) -> LowRank:
-    """Tensor-interpolated kernel block, recompressed to the tolerance."""
-    axes_t, grid_t = _cluster_nodes(t, cfg.order)
-    axes_s, grid_s = _cluster_nodes(s, cfg.order)
+def _interpolated_block(basis_t, basis_s, cfg: KernelConfig) -> LowRank:
+    (grid_t, ut), (grid_s, us) = basis_t, basis_s
     r = _pairwise_distance(grid_t, grid_s)
     if np.any(r == 0.0):
         raise ValueError("interpolation grids coincide; block is not admissible")
     core = _kernel_of_distance(r, cfg.d)
-    ut = _interpolation_factor(points, t, axes_t)
-    us = _interpolation_factor(points, s, axes_s)
     return recompress(LowRank(ut @ core, us), cfg.truncation)
 
 
+def assemble_lowrank_block(points, t, s, cfg: KernelConfig) -> LowRank:
+    """Tensor-interpolated kernel block, recompressed to the tolerance."""
+    basis_t, basis_s = (_cluster_basis(points, c, cfg.order) for c in (t, s))
+    return _interpolated_block(basis_t, basis_s, cfg)
+
+
 def assemble_hmatrix(block, points, cfg: KernelConfig) -> HMatrix:
-    """Fill a block tree: admissible leaves low-rank, the rest dense."""
+    """Fill a block tree: admissible leaves low-rank, the rest dense.
+
+    Each cluster's basis is built once per call, however many admissible
+    blocks it spans; ``recompress`` returns fresh factors, so no leaf shares
+    memory with a basis.
+    """
+    bases = {}
+
+    def basis(c):
+        if c not in bases:
+            bases[c] = _cluster_basis(points, c, cfg.order)
+        return bases[c]
 
     def payload(b):
-        assemble = assemble_lowrank_block if b.kind == ADMISSIBLE else assemble_dense_block
-        return assemble(points, b.row, b.col, cfg)
+        if b.kind == ADMISSIBLE:
+            return _interpolated_block(basis(b.row), basis(b.col), cfg)
+        return assemble_dense_block(points, b.row, b.col, cfg)
 
     return build_hmatrix(block, payload)
 

@@ -46,7 +46,7 @@ class TestBenchConfig:
             BenchConfig(mode="hybrid").validate()
 
 
-MEASURES = ("times", "time", "plan_time", "slots", "speedup", "flops", "gflops", "residual", "peak_rank")
+MEASURES = ("times", "time", "plan_time", "assemble_time", "slots", "speedup", "flops", "gflops", "residual", "peak_rank")
 
 
 class TestRunBench:
@@ -60,6 +60,7 @@ class TestRunBench:
         assert len(res["times"]) == 2
         assert res["time"] == statistics.median(res["times"])
         assert res["plan_time"] > 0
+        assert isinstance(res["assemble_time"], float) and res["assemble_time"] > 0
         assert res["peak_rank"] == 0
 
     def test_dense_par_speedup_field(self):
@@ -106,7 +107,7 @@ class TestTables:
         rows = []
         for _ in range(2):
             row = run_bench(BenchConfig(**json.loads(cfg_text)).validate())
-            rows.append({k: v for k, v in row.items() if k not in ("times", "time", "plan_time", "gflops", "speedup")})
+            rows.append({k: v for k, v in row.items() if k not in ("times", "time", "plan_time", "assemble_time", "gflops", "speedup")})
         assert rows[0] == rows[1]
 
 

@@ -1,11 +1,13 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from hluflow import kernels
 from hluflow.blocks import ADMISSIBLE, build_block_tree
 from hluflow.clustering import build_cluster_tree
-from hluflow.hmatrix import LOWRANK, build_hmatrix, flatten, hmatvec
+from hluflow.hmatrix import DENSE, LOWRANK, build_hmatrix, flatten, hmatvec
 from hluflow.kernels import (
     KernelConfig,
     assemble_dense_block,
@@ -37,6 +39,12 @@ class TestKernelEval:
     def test_coincident_raises(self):
         with pytest.raises(ValueError):
             kernel_eval([0.5], [0.5], 1)
+
+    def test_dimension_outside_one_to_three_raises(self):
+        with pytest.raises(ValueError, match="kernel dimension must be 1, 2 or 3"):
+            kernel_eval([0.0] * 4, [1.0, 0.0, 0.0, 0.0], 4)
+        with pytest.raises(ValueError, match="kernel dimension must be 1, 2 or 3"):
+            kernel_eval([0.0], [1.0], 0)
 
 
 class TestDenseAssembly:
@@ -206,3 +214,107 @@ class TestGeometry:
             KernelConfig(d=1, order=-1)
         assert KernelConfig(d=3).order == 4
         assert KernelConfig(d=1).order == 5
+
+    @pytest.mark.parametrize("order", [2.5, True, False, 4.0, "4"])
+    def test_kernel_config_rejects_non_integer_order(self, order):
+        with pytest.raises(ValueError, match=f"got {order!r}"):
+            KernelConfig(d=1, order=order)
+
+    def test_bem_case_rejects_fractional_order(self):
+        with pytest.raises(ValueError, match="2.5"):
+            make_bem_case(1, 256, 0.5, 32, order=2.5)
+
+    def test_kernel_config_accepts_numpy_integer_order(self):
+        assert KernelConfig(d=1, order=np.int64(4)).order == 4
+        assert KernelConfig(d=2, order=np.int32(0)).order == 5
+        ref = make_bem_case(1, 256, 0.5, 32, order=4).hmatrix
+        got = make_bem_case(1, 256, 0.5, 32, order=np.int64(4)).hmatrix
+        assert np.array_equal(flatten(got), flatten(ref))
+
+
+def _old_lagrange_basis(nodes, x):
+    """lagrange_basis with its weights taken node by node through np.delete."""
+    m = nodes.shape[0]
+    if m == 1:
+        return np.ones((x.shape[0], 1))
+    w = np.empty(m)
+    for mu in range(m):
+        w[mu] = 1.0 / np.prod(nodes[mu] - np.delete(nodes, mu))
+    diff = x[:, None] - nodes[None, :]
+    hit = diff == 0.0
+    safe = np.where(hit, 1.0, diff)
+    terms = w[None, :] / safe
+    out = terms / np.sum(terms, axis=1, keepdims=True)
+    rows = np.any(hit, axis=1)
+    if np.any(rows):
+        out[rows] = 0.0
+        out[hit] = 1.0
+    return out
+
+
+def _old_pairwise_distance(xs, ys):
+    """_pairwise_distance through a 3-D broadcast and a sum over its last axis."""
+    diff = xs[:, None, :] - ys[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def _payload_equal(leaf, want):
+    if leaf.kind == DENSE:
+        return np.array_equal(leaf.data, want)
+    return np.array_equal(leaf.data.a, want.a) and np.array_equal(leaf.data.b, want.b)
+
+
+class TestClusterBases:
+    """Assembly builds each cluster's basis once and keeps every payload
+    bitwise equal to assembling its block alone with the unrolled formulas."""
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_lagrange_weights_bitwise_old_formula(self, rng, order):
+        for a, b in ((0.0, 1.0), (-3.7, 2.2), (1e-3, 1.0 + 1e-3)):
+            nodes = chebyshev_nodes(a, b, order)
+            x = np.concatenate((rng.uniform(a, b, 50), nodes))
+            assert np.array_equal(lagrange_basis(nodes, x), _old_lagrange_basis(nodes, x))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_distances_bitwise_old_formula(self, rng, d, order):
+        xs = rng.standard_normal((order**d, d)) * 10.0
+        ys = rng.standard_normal((37, d)) + 0.5
+        got = kernels._pairwise_distance(xs, ys)
+        assert np.array_equal(got, _old_pairwise_distance(xs, ys))
+        pts = geometry_points(d, 64)
+        assert np.array_equal(kernels._pairwise_distance(pts, pts), _old_pairwise_distance(pts, pts))
+
+    @pytest.mark.parametrize("d, eta", [(1, 0.5), (2, 0.5), (3, 1.0)])
+    def test_leaves_bitwise_equal_block_by_block(self, d, eta):
+        case = make_bem_case(d, 512, eta, 32)
+        leaves = list(case.hmatrix.leaves())
+        assert {leaf.kind for leaf in leaves} == {DENSE, LOWRANK}
+        arrays = []
+        for leaf in leaves:
+            b = leaf.block
+            alone = assemble_lowrank_block if leaf.kind == LOWRANK else assemble_dense_block
+            assert _payload_equal(leaf, alone(case.points, b.row, b.col, case.cfg)), b
+            arrays += [leaf.data] if leaf.kind == DENSE else [leaf.data.a, leaf.data.b]
+        # no two payloads share memory, through a basis or otherwise
+        bases = {id(a.base if a.base is not None else a) for a in arrays}
+        assert len(bases) == len(arrays)
+
+    @pytest.mark.parametrize("d, eta", [(1, 0.5), (2, 0.5), (3, 1.0)])
+    def test_one_basis_per_cluster(self, monkeypatch, d, eta):
+        calls = Counter()
+        cluster_basis = kernels._cluster_basis
+
+        def counting(points, cluster, order):
+            calls[id(cluster)] += 1
+            return cluster_basis(points, cluster, order)
+
+        monkeypatch.setattr(kernels, "_cluster_basis", counting)
+        case = make_bem_case(d, 512, eta, 32)
+        lowrank = [leaf.block for leaf in case.hmatrix.leaves() if leaf.kind == LOWRANK]
+        clusters = {id(c) for b in lowrank for c in (b.row, b.col)}
+        assert 2 * len(lowrank) > len(clusters)
+        assert set(calls) == clusters and set(calls.values()) == {1}
+        calls.clear()
+        make_bem_case(d, 512, eta, 32)
+        assert sum(calls.values()) == len(clusters)  # the cache lives in one call
