@@ -158,18 +158,17 @@ def _cmd_graph_export(args):
     from .hlu import emit_task_graph, hlu_factorize
 
     cfg = _config_from_args(args)
-    h = build_case(cfg)
-    # collect-mode emission runs no kernel, so the trace factorizes the same matrix
-    dot = emit_task_graph(_plan_for(cfg, h, "par")).to_dot()
+    plan = _plan_for(cfg, build_case(cfg), "par")
+    # collect-mode emission runs no kernel, so the trace factorizes the same plan
+    dot = emit_task_graph(plan).to_dot()
     if args.output:
         with open(args.output, "w") as f:
             f.write(dot)
     else:
         sys.stdout.write(dot)
     if args.trace:
-        trace = hlu_factorize(_plan_for(cfg, h, "par"))
         with open(args.trace, "w") as f:
-            f.write(trace.to_csv())
+            f.write(hlu_factorize(plan).to_csv())
     return EXIT_OK
 
 

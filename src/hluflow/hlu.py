@@ -125,10 +125,8 @@ def make_plan(
     ctl = truncation if truncation is not None else TruncationControl()
     coarse = h
     if h.rows == h.cols:
-        try:
-            _factor(_Formats(), h)
-        finally:
-            coarse = _coalesce(h, h.rows // 4)
+        _factor(_Formats(), h)
+        coarse = _coalesce(h, h.rows // 4)
     return HluPlan(
         matrix=h,
         skeleton=build_skeleton(coarse),
@@ -148,12 +146,8 @@ _COALESCE_BELOW = 128
 
 def _coalesce(h, side):
     """A tree over ``h``'s blocks and leaves, with each largest qualifying node (see
-    ``make_plan``) one dense leaf: an array the leaves below it become views of.
-    The factors of a leaf ``_Formats`` stored dense are multiplied straight into
-    that array, or into the leaf's own."""
+    ``make_plan``) one dense leaf: an array the leaves below it become views of."""
     if h.kind != PARTITIONED:
-        if h.kind == DENSE and isinstance(h.data, LowRank):
-            h.data = h.data.value()
         return h
     leaves = h.leaves() if max(h.rows, h.cols) <= side else ()
     if leaves and all(
@@ -163,24 +157,14 @@ def _coalesce(h, side):
         r0, c0 = h.row_range[0], h.col_range[0]
         for leaf in leaves:
             (i0, i1), (j0, j1) = leaf.row_range, leaf.col_range
-            view, d = block[i0 - r0 : i1 - r0, j0 - c0 : j1 - c0], leaf.data
-            if isinstance(d, LowRank):
-                np.matmul(d.a, d.b.T, out=view)
-            else:
-                view[...] = d
+            view = block[i0 - r0 : i1 - r0, j0 - c0 : j1 - c0]
+            view[...] = leaf.data
             leaf.data = view
         return HMatrix(h.block, DENSE, block)
     return HMatrix(h.block, PARTITIONED, [[_coalesce(c, side) for c in row] for row in h.data])
 
 
 # -- operands -----------------------------------------------------------------
-
-
-def _slice(op, rows, cols):
-    """The rows x cols part of a leaf or window; a whole leaf stays itself."""
-    if isinstance(op, HMatrix) and rows == op.row_range and cols == op.col_range:
-        return op
-    return _Window(op, rows, cols)
 
 
 def _times(op, x, right=False):
@@ -208,7 +192,7 @@ def _product_grid(a, b, c=None):
     """The cells of a @ b, cut along the partitions of c (if given), a and b.
 
     Yields ``(i, j, rows, cols, pairs)`` row by row, ``pairs`` listing the
-    inner operands (a_ip, b_pj) as children or ``_slice`` windows.
+    inner operands (a_ip, b_pj) as children or ``_Window``s of leaves.
     """
     a_part = a.kind == PARTITIONED
     b_part = b.kind == PARTITIONED
@@ -222,8 +206,8 @@ def _product_grid(a, b, c=None):
         for j, cc in enumerate(cols):
             pairs = [
                 (
-                    a.child(i, p) if a_part else _slice(a, rr, mm),
-                    b.child(p, j) if b_part else _slice(b, mm, cc),
+                    a.child(i, p) if a_part else _Window(a, rr, mm),
+                    b.child(p, j) if b_part else _Window(b, mm, cc),
                 )
                 for p, mm in enumerate(mids)
             ]
@@ -348,7 +332,7 @@ def _expand(ex, op):
     elif kind == "update":
         c_part = x.kind == PARTITIONED
         for i, j, rr, cc, pairs in _product_grid(a, b, x):
-            ci = x.child(i, j) if c_part else _slice(x, rr, cc)
+            ci = x.child(i, j) if c_part else _Window(x, rr, cc)
             for ap, bp in pairs:
                 _update(ex, ci, ap, bp)
     elif x.kind == PARTITIONED:
@@ -489,10 +473,10 @@ class _Formats:
 
     Such a product alone has that rank, so the update body would flush the
     leaf at the half-block bound whatever its rank, truncating factors at
-    least half as wide as the leaf: a dense leaf is cheaper.  Every update into
-    a leaf precedes its solve, which precedes its use as an operand, so the
-    operands' formats are final when the walk reaches an update.  The leaf
-    keeps its factors until ``_coalesce`` writes their product.
+    least half as wide as the leaf: a dense leaf is cheaper, and it is stored
+    as the product of the factors at once.  Every update into a leaf precedes
+    its solve, which precedes its use as an operand, so the operands' formats
+    are final when the walk reaches an update.
     """
 
     def run(self, op, leaf):
@@ -501,7 +485,7 @@ class _Formats:
             _expand(self, op)
         elif kind == "update" and c.kind == LOWRANK and a.kind == b.kind == DENSE:
             if a.col_range[1] - a.col_range[0] >= min(c.rows, c.cols) / 2:
-                c.kind = DENSE
+                c.kind, c.data = DENSE, c.data.value()
 
 
 def _extent(op):
@@ -515,10 +499,10 @@ class _Emit:
     panel's b lies in x's leaf); a parent's accesses are weak under early
     release.  A recursion level whose operands all span at most ``grain`` =
     n // (2 w) rows and columns, n the order of the plan's matrix and w the
-    runtime's worker count, becomes one strong leaf task that expands the
-    level through ``_Inline``.  Below the grain a body costs less than its
-    task; above it a (2w) x (2w) block grid is left, whose first trailing
-    update alone holds (2w - 1)^2 independent tasks.
+    runtime's worker count, becomes one strong leaf task: every strong task's
+    body is ``_Inline.run`` of its op.  Below the grain a body costs less
+    than its task; above it a (2w) x (2w) block grid is left, whose first
+    trailing update alone holds (2w - 1)^2 independent tasks.
     """
 
     def __init__(self, runtime, plan):
@@ -535,10 +519,7 @@ class _Emit:
         for o in (a,) if kind in _PANELS else (a, b):
             if o is not None:
                 regions.append(Region(*self.ranges[o.block], "r", weak=weak))
-        if leaf:
-            body = partial(_kernel, op, self.inline.ctl, self.inline.flops)
-        else:
-            body = partial(_expand, self if spawns else self.inline, op)
+        body = partial(_expand, self, op) if spawns else partial(self.inline.run, op, leaf)
         label = _lbl("update" if kind in _PANELS else kind, x, None if b is None else a)
         self.rt.submit(regions, body, label=label, spawns=spawns)
 
@@ -555,23 +536,19 @@ def hlu_factorize(plan: HluPlan):
     if plan.mode == SEQUENTIAL:
         _factor(_Inline(plan.truncation, plan.flops), plan.coarse)
         return None
-    rt = Runtime(
-        slots=plan.skeleton.size,
-        workers=plan.workers,
-        wd_er=plan.wd_er,
-        seed=plan.seed,
-    )
-    _factor(_Emit(rt, plan), plan.coarse)
-    return rt.run()
+    return _emitted(plan).run()
 
 
 def emit_task_graph(plan: HluPlan):
     """Expand the full nested task graph without executing any kernel."""
-    rt = Runtime(
-        slots=plan.skeleton.size, workers=plan.workers, wd_er=plan.wd_er, collect=True
-    )
+    return _emitted(plan, collect=True).task_graph()
+
+
+def _emitted(plan, collect=False):
+    """A runtime holding the tasks ``_Emit`` submitted for factoring ``plan.coarse``."""
+    rt = Runtime(plan.skeleton.size, plan.workers, plan.wd_er, plan.seed, collect)
     _factor(_Emit(rt, plan), plan.coarse)
-    return rt.task_graph()
+    return rt
 
 
 # -- triangular matvec on the factored matrix ----------------------------------------

@@ -159,20 +159,8 @@ class Task:
         self.end_t = None
         self.worker = None
 
-    @property
-    def state(self):
-        if self.end_t is not None:
-            return "released"
-        if self.body_end_t is not None:
-            return "finished"
-        if self.start_t is not None:
-            return "running"
-        if self.ready_t is not None:
-            return "ready"
-        return "created"
-
     def __repr__(self):
-        return f"Task({self.id}, {self.label!r}, {self.state})"
+        return f"Task({self.id}, {self.label!r})"
 
 
 @dataclass

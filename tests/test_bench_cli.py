@@ -14,6 +14,7 @@ from dataclasses import fields
 from hluflow.bench import BenchConfig, build_case, run_bench
 from hluflow.cli import (
     EXIT_CONFIG,
+    EXIT_DEADLOCK,
     EXIT_NUMERICAL,
     EXIT_OK,
     build_parser,
@@ -23,7 +24,8 @@ import hluflow
 from hluflow import bench
 from hluflow.lowrank import BLAS_LIBRARY
 from hluflow.blocks import build_diagonal_2x2_tree
-from hluflow.hmatrix import build_hmatrix, flatten, load_hmatrix
+from hluflow.hmatrix import build_hmatrix, flatten, load_hmatrix, structure_dump
+from hluflow.runtime import Runtime
 
 
 class TestBenchConfig:
@@ -44,6 +46,8 @@ class TestBenchConfig:
             BenchConfig(case="bem", d=4).validate()
         with pytest.raises(ValueError):
             BenchConfig(mode="hybrid").validate()
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            BenchConfig(workers=0).validate()
 
 
 MEASURES = ("times", "time", "plan_time", "assemble_time", "slots", "speedup", "flops", "gflops", "residual", "peak_rank")
@@ -138,6 +142,39 @@ class TestCli:
         out = capsys.readouterr().out
         assert json.loads(out, parse_constant=lambda token: pytest.fail(token))["residual"] is None
 
+    def test_nan_probe_fails_bench_and_verify(self, monkeypatch, tmp_path, capsys):
+        # NaN probes give a NaN residual, which fails both commands
+        monkeypatch.setattr(bench, "upper_matvec", lambda h, x: np.full_like(x, np.nan))
+        out = tmp_path / "row.json"
+        args = ["--case", "dense2x2", "--n", "64", "--r", "2"]
+        assert main(["bench", *args, "--repetitions", "1", "--output", str(out)]) == EXIT_NUMERICAL
+        assert json.loads(out.read_text())["residual"] is None
+        capsys.readouterr()
+        assert main(["verify", *args]) == EXIT_NUMERICAL
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0].startswith("residual nan") and printed[-1] == "FAIL"
+
+    def test_deadlock_exit(self, monkeypatch, capsys, bounded):
+        # a run whose first task never becomes ready ends with the runtime's report
+        run = Runtime.run
+
+        def wedged(rt):
+            task = rt.tasks[0]
+            with rt._lock:
+                task.pending += 1
+                rt._deques[0].clear()
+                task.ready_t = None
+            return run(rt)
+
+        monkeypatch.setattr(Runtime, "run", wedged)
+        code = bounded(lambda: main(
+            ["bench", "--case", "dense2x2", "--n", "64", "--r", "2", "--mode", "par",
+             "--workers", "2", "--repetitions", "1"]
+        ))
+        assert code == EXIT_DEADLOCK
+        err = capsys.readouterr().err
+        assert err.startswith("deadlock: ") and "  'lu[0:64)x[0:64)': not ready" in err
+
     def test_dump_config_round_trip(self, capsys):
         code = main(
             [
@@ -193,6 +230,11 @@ class TestCli:
         assert h.rows == 256
         assert "lowrank" in dump.read_text()
 
+    def test_assemble_dump_to_stdout(self, capsys):
+        assert main(["assemble", "--case", "bem", "--n", "256", "--leafsize", "32"]) == EXIT_OK
+        cfg = BenchConfig(case="bem", n=256, leafsize=32)
+        assert capsys.readouterr().out == structure_dump(build_case(cfg))
+
     def test_assemble_rejects_dense2x2(self, tmp_path, capsys):
         out = tmp_path / "h.npz"
         assert main(["assemble", "--case", "dense2x2", "--output", str(out)]) == EXIT_CONFIG
@@ -209,6 +251,13 @@ class TestCli:
         text = out.read_text()
         assert text.startswith("digraph")
         assert "lu[0:32)x[0:32)" in text
+
+    def test_graph_export_to_stdout(self, tmp_path, capsys):
+        args = ["graph-export", "--case", "dense2x2", "--n", "64", "--r", "2"]
+        assert main(args) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert main(args + ["--output", str(tmp_path / "g.dot")]) == EXIT_OK
+        assert printed.startswith("digraph") and printed == (tmp_path / "g.dot").read_text()
 
     def test_graph_export_follows_workers(self, tmp_path, capsys):
         # the granularity cutoff depends on the worker count: one worker runs
@@ -253,6 +302,24 @@ class TestCli:
         )
         assert code == EXIT_OK
         assert len(calls) == 1
+
+    def test_graph_export_trace_plans_once(self, tmp_path, monkeypatch):
+        # the DOT and the trace come from one plan: its formats and storage are
+        # fixed once, and collect-mode emission runs no kernel on them
+        plans = []
+        make_plan = bench.make_plan
+
+        def counting(*args, **kwargs):
+            plans.append(make_plan(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(bench, "make_plan", counting)
+        code = main(
+            ["graph-export", "--case", "bem", "--d", "1", "--n", "256", "--leafsize", "32",
+             "--workers", "2", "--output", str(tmp_path / "g.dot"), "--trace", str(tmp_path / "t.csv")]
+        )
+        assert code == EXIT_OK
+        assert len(plans) == 1 and plans[0].flops.total > 0
 
     def test_bench_singular_exit(self, monkeypatch, capsys, bounded):
         zero = build_hmatrix(build_diagonal_2x2_tree(256, 3)[0])

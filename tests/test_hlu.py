@@ -244,6 +244,10 @@ class TestStructureErrors:
         with pytest.raises(StructureError, match=re.escape(block)):
             make_plan(h)
 
+    def test_make_plan_rejects_an_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            make_plan(dense2x2_matrix(64, 2), mode="bogus")
+
     @pytest.mark.parametrize("name", LU_STRUCTURE_CASES)
     def test_parallel_run(self, name, bounded):
         # a hand-built plan skips make_plan's walk, so a worker meets the error
@@ -334,6 +338,31 @@ class TestCoalescing:
         rest = [m for m, c in coalesced_pairs(h, plan.coarse) if m is c]
         assert len(rest) == len(plan.coarse.leaves()) - len(nodes)
         assert any(leaf.kind == LOWRANK for leaf in rest)
+
+    @pytest.mark.parametrize(
+        "d, n, leafsize, eta, stored_dense",
+        [(3, 1024, 64, 1.0, 20), (2, 512, 32, 0.5, 18)],
+        ids=["bem3d", "d2"],
+    )
+    def test_dense_leaves_hold_arrays_throughout_planning(
+        self, monkeypatch, d, n, leafsize, eta, stored_dense
+    ):
+        # the format walk stores a low-rank leaf's product when it decides the
+        # leaf is dense, so no dense leaf holds factors when _coalesce or a run meets it
+        import hluflow.hlu as hlu_module
+
+        coalesce = hlu_module._coalesce
+
+        def checked(h, side):
+            assert all(isinstance(y.data, np.ndarray) for y in h.leaves() if y.kind == DENSE)
+            return coalesce(h, side)
+
+        monkeypatch.setattr(hlu_module, "_coalesce", checked)
+        template = make_bem_case(d, n, eta=eta, leafsize=leafsize, eps=1e-6).hmatrix
+        plan = make_plan(template.copy(), TruncationControl(1e-6))
+        pairs = list(zip(template.leaves(), plan.matrix.leaves(), strict=True))
+        assert sum(t.kind == LOWRANK and m.kind == DENSE for t, m in pairs) == stored_dense
+        assert all(isinstance(m.data, np.ndarray) for _, m in pairs if m.kind == DENSE)
 
     @pytest.mark.parametrize("n, coalesced", [(512, 4), (1024, 0)], ids=["64-point", "128-point"])
     def test_leaves_of_128_points_stay(self, n, coalesced):

@@ -147,6 +147,11 @@ def test_region_validation():
         rt.submit([Region(0, 2, "rw"), Region(1, 3, "r")], lambda: None)
 
 
+def test_worker_count_validation():
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        Runtime(slots=1, workers=0)
+
+
 def test_edges_nested_interval_and_read_read():
     rt = Runtime(slots=4, collect=True)
     a = rt.submit([Region(0, 4, "w")], lambda: None, label="a")
