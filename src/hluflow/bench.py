@@ -108,7 +108,6 @@ def _plan_for(cfg: BenchConfig, h, mode):
         mode=SEQUENTIAL if mode == "seq" else PARALLEL,
         workers=cfg.workers,
         wd_er=cfg.wd_er,
-        seed=cfg.seed,
     )
 
 

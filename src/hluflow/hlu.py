@@ -80,7 +80,6 @@ class HluPlan:
     mode: str = SEQUENTIAL
     workers: int = 1
     wd_er: bool = True
-    seed: int = 0
     flops: FlopCounter = field(default_factory=FlopCounter)
     # The tree the recursion factors; default ``matrix``.  Apply the factors through
     # ``matrix``: on bem3d (seed 1) ``coarse`` read the probe residual 4.21e-16 -> 5.13e-16.
@@ -117,8 +116,9 @@ def make_plan(
     side is at most n // 4 (the grain of 2 workers), becomes one array
     (``_coalesce``): ``h`` keeps its block tree, its leaves views into those
     arrays, and ``plan.coarse`` holds each such node as one dense leaf, which
-    ``plan.skeleton`` numbers as one slot.  All of this is the same in every
-    mode and for any ``workers`` and ``wd_er``.
+    ``plan.skeleton`` numbers as one slot.  A second walk, over ``plan.coarse``,
+    applies the rule to its wider coalesced operands.  All of this is the same
+    in every mode and for any ``workers`` and ``wd_er``; ``seed`` is ignored.
     """
     if mode not in (SEQUENTIAL, PARALLEL):
         raise ValueError(f"unknown mode {mode!r}")
@@ -127,6 +127,7 @@ def make_plan(
     if h.rows == h.cols:
         _factor(_Formats(), h)
         coarse = _coalesce(h, h.rows // 4)
+        _factor(_Formats(), coarse)
     return HluPlan(
         matrix=h,
         skeleton=build_skeleton(coarse),
@@ -134,7 +135,6 @@ def make_plan(
         mode=mode,
         workers=workers,
         wd_er=wd_er,
-        seed=seed,
         coarse=coarse,
     )
 
@@ -546,7 +546,7 @@ def emit_task_graph(plan: HluPlan):
 
 def _emitted(plan, collect=False):
     """A runtime holding the tasks ``_Emit`` submitted for factoring ``plan.coarse``."""
-    rt = Runtime(plan.skeleton.size, plan.workers, plan.wd_er, plan.seed, collect)
+    rt = Runtime(plan.skeleton.size, plan.workers, plan.wd_er, collect)
     _factor(_Emit(rt, plan), plan.coarse)
     return rt
 

@@ -22,7 +22,6 @@ which reproduces the taskwait-at-end nesting model.
 from __future__ import annotations
 
 import heapq
-import random
 import threading
 import time
 from collections import deque
@@ -247,18 +246,16 @@ class Runtime:
     slots : int
         Size of the slot space regions index (a skeleton's slot count).
     workers : int
-        Worker thread count for :meth:`run`.
+        Worker threads for :meth:`run`; each takes the oldest task of one FIFO ready queue.
     wd_er : bool
         Early release of finished tasks' regions.  When False a task's
         accesses stay held until the task and all descendants finish.
-    seed : int
-        Seed for the work-stealing victim order.
     collect : bool
         Structure-only mode: spawner bodies expand at submission and nothing
         executes; use :meth:`task_graph` afterwards.
     """
 
-    def __init__(self, slots, workers=1, wd_er=True, seed=0, collect=False):
+    def __init__(self, slots, workers=1, wd_er=True, collect=False):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if slots < 0:
@@ -266,13 +263,12 @@ class Runtime:
         self._roots = [_Chain(None) for _ in range(slots)]
         self.workers = workers
         self.wd_er = wd_er
-        self.seed = seed
         self.collect = collect
         self.tasks = []
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._current = threading.local()
-        self._deques = [deque() for _ in range(workers)]
+        self._ready = deque()
         self._unfinished = 0
         self._idle = 0
         self._deadlock = None
@@ -412,12 +408,10 @@ class Runtime:
             self._advance_sat(node.chain)
 
     def _try_release(self, node):
+        """Release once no child access is open; the writes are done by then, as
+        ``open_writers <= open_children`` and ``_release_nodes`` tries them first."""
         if node.released or not self._may_release(node.task, node.open_children):
             return
-        if not node.writes_done:
-            self._try_writes_done(node)
-            if not node.writes_done:
-                return
         node.released = True
         parent = node.chain.parent
         if parent is not None:
@@ -437,8 +431,7 @@ class Runtime:
         if self._virtual_ready is not None:
             heapq.heappush(self._virtual_ready, (task.ready_t, task.id, task))
             return
-        wid = getattr(self._current, "worker", 0)
-        self._deques[wid].append(task)
+        self._ready.append(task)
         self._cond.notify(1)
 
     def _strong_written_slots(self, task):
@@ -527,39 +520,26 @@ class Runtime:
             raise DeadlockError("no runnable task but work remains", self._deadlock)
         return self.task_graph()
 
-    def _steal(self, wid, rng):
-        victims = [w for w in range(self.workers) if w != wid]
-        rng.shuffle(victims)
-        for v in victims:
-            if self._deques[v]:
-                return self._deques[v].popleft()
-        return None
-
     def _worker_loop(self, wid):
-        rng = random.Random((self.seed << 8) ^ wid)
-        self._current.worker = wid
         while True:
             with self._lock:
-                task = None
-                while task is None:
+                while True:
                     if (
                         self._unfinished == 0
                         or self._deadlock is not None
                         or self._error is not None
                     ):
                         return
-                    if self._deques[wid]:
-                        task = self._deques[wid].popleft()
-                    else:
-                        task = self._steal(wid, rng)
-                    if task is None:
-                        self._idle += 1
-                        if self._idle == self.workers:
-                            self._deadlock = self._deadlock_report()
-                            self._cond.notify_all()
-                            return
-                        self._cond.wait()
-                        self._idle -= 1
+                    if self._ready:
+                        break
+                    self._idle += 1
+                    if self._idle == self.workers:
+                        self._deadlock = self._deadlock_report()
+                        self._cond.notify_all()
+                        return
+                    self._cond.wait()
+                    self._idle -= 1
+                task = self._ready.popleft()
                 try:
                     task.start_t = self._clock()
                     task.worker = wid

@@ -142,7 +142,7 @@ def test_criterion_4_dependency_inference_soundness():
     for i in range(1000):
         wd_er = i % 2 == 0
         slots, roots = random_plan(rng, max_tasks=200, spin_scale=2e-5)
-        rt = Runtime(slots=slots, workers=3, wd_er=wd_er, seed=i)
+        rt = Runtime(slots=slots, workers=3, wd_er=wd_er)
         materialize(rt, roots, weak_parents=wd_er)
         rt.run()
         got = {(e.src.id, e.dst.id) for e in rt.task_graph().edges}
@@ -172,7 +172,7 @@ def test_criterion_5_weak_dependency_early_release_behavior():
     lab_o1 = f"lu[0:{n // 2})x[0:{n // 2})"
     lab_o21 = f"lsolve[0:{n // 4})x[{n // 2}:{3 * n // 4})"
 
-    def run(wd_er, seed):
+    def run(wd_er):
         rng = np.random.default_rng(42)
 
         def fill(block):
@@ -183,14 +183,14 @@ def test_criterion_5_weak_dependency_early_release_behavior():
 
         h = build_hmatrix(root, fill)
         trace = hlu_factorize(
-            make_plan(h, mode="parallel", workers=2, wd_er=wd_er, seed=seed)
+            make_plan(h, mode="parallel", workers=2, wd_er=wd_er)
         )
         o1 = find_one(trace, lab_o1)
         o21 = find_one(trace, lab_o21)
         return o21.start_t < o1.end_t
 
-    crossed = sum(run(True, seed) for seed in range(100))
-    blocked = sum(not run(False, seed) for seed in range(100))
+    crossed = sum(run(True) for _ in range(100))
+    blocked = sum(not run(False) for _ in range(100))
     assert crossed >= 95, f"early start in only {crossed}/100 runs with wd_er"
     assert blocked == 100, f"{100 - blocked} runs crossed without wd_er"
     announce(

@@ -162,7 +162,7 @@ class TestCli:
             task = rt.tasks[0]
             with rt._lock:
                 task.pending += 1
-                rt._deques[0].clear()
+                rt._ready.clear()
                 task.ready_t = None
             return run(rt)
 

@@ -852,7 +852,11 @@ class TestExactProducts:
         assert svds == []
         assert np.array_equal(flatten(h_par), flatten(h_seq))
 
-    @pytest.mark.parametrize("d, n, leafsize", [(3, 512, 32), (2, 256, 16)], ids=["d3", "d2"])
+    @pytest.mark.parametrize(
+        "d, n, leafsize",
+        [(3, 512, 32), (2, 256, 16), (2, 1024, 32)],
+        ids=["d3", "d2", "d2-coalesced"],
+    )
     def test_planned_run_sends_no_dense_pair_to_the_bound(self, monkeypatch, d, n, leafsize):
         # a dense x dense pair whose inner dimension reaches half a low-rank
         # destination's smaller side would take the half-block bound alone;

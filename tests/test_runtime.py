@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 
@@ -235,7 +236,7 @@ def test_serializability_of_traces():
     for wd_er in (True, False):
         for _ in range(10):
             slots, roots = random_plan(rng, max_tasks=60, spin_scale=2e-4)
-            rt = Runtime(slots=slots, workers=3, wd_er=wd_er, seed=5)
+            rt = Runtime(slots=slots, workers=3, wd_er=wd_er)
             materialize(rt, roots, weak_parents=wd_er)
             trace = rt.run()
             for e in rt.task_graph().edges:
@@ -244,11 +245,31 @@ def test_serializability_of_traces():
                 assert e.src.end_t <= e.dst.start_t
 
 
+def test_tasks_start_in_the_order_they_became_ready(bounded):
+    # one FIFO queue of ready tasks: a free worker always takes the oldest;
+    # more workers than cores and a short switch interval vary the interleaving
+    rng = np.random.default_rng(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for wd_er in (True, False):
+            for _ in range(10):
+                slots, roots = random_plan(rng, max_tasks=60, spin_scale=2e-4)
+                rt = Runtime(slots=slots, workers=3, wd_er=wd_er)
+                materialize(rt, roots, weak_parents=wd_er)
+                tasks = bounded(rt.run).tasks
+                by_ready = sorted(tasks, key=lambda t: (t.ready_t, t.start_t))
+                by_start = sorted(tasks, key=lambda t: (t.start_t, t.ready_t))
+                assert [t.id for t in by_ready] == [t.id for t in by_start]
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_single_worker_trace_deterministic():
     def run_once():
         rng = np.random.default_rng(3)
         slots, roots = random_plan(rng, max_tasks=40)
-        rt = Runtime(slots=slots, workers=1, seed=11)
+        rt = Runtime(slots=slots, workers=1)
         materialize(rt, roots)
         trace = rt.run()
         return [(t.id, t.label) for t in sorted(trace.tasks, key=lambda t: t.start_t)]
@@ -286,7 +307,7 @@ def test_deadlock_detector_reports():
     # artificially wedge the task to exercise the detector and report
     with rt._lock:
         task.pending += 1
-        rt._deques[0].clear()
+        rt._ready.clear()
         task.ready_t = None
     with pytest.raises(DeadlockError) as err:
         rt.run()
@@ -297,7 +318,7 @@ def _wedge(rt, task):
     """Hold a ready task back for good, as if one of its accesses never came."""
     with rt._lock:
         task.pending += 1
-        rt._deques[0].clear()
+        rt._ready.clear()
         task.ready_t = None
 
 
