@@ -8,6 +8,8 @@ min{diam(t), diam(s)} <= eta * dist(t, s).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .clustering import Cluster, ClusterTree, diam, dist
@@ -60,11 +62,25 @@ def build_block_tree(rows: ClusterTree, cols: ClusterTree, eta=1.0):
 
     An admissible pair becomes a leaf to be stored in low-rank form; a
     non-admissible pair where both clusters have sons is partitioned and all
-    son pairs are recursed; any other pair becomes a dense leaf.
+    son pairs are recursed; any other pair becomes a dense leaf.  Each kind is
+    the one ``admissible`` gives, from diameters and bounds cached per cluster.
     """
+    admissible(rows.root, cols.root, eta)  # rejects a bad eta or mismatched dimensions
+    geometry = {}
+
+    def admits(t, s):
+        for c in (t, s):
+            if c not in geometry:
+                geometry[c] = (diam(c), c.bbox_min.tolist(), c.bbox_max.tolist())
+        (dt, t_lo, t_hi), (ds, s_lo, s_hi) = geometry[t], geometry[s]
+        gap = sum(max(0.0, a - d, c - b) ** 2 for a, b, c, d in zip(t_lo, t_hi, s_lo, s_hi))
+        near, far = min(dt, ds), eta * math.sqrt(gap)
+        if abs(near - far) > 1e-12 * far:  # decided whatever the rounding of the sum
+            return near < far
+        return admissible(t, s, eta)  # a near tie: ask the exact test
 
     def build(t, s):
-        if admissible(t, s, eta):
+        if admits(t, s):
             return BlockNode(t, s, ADMISSIBLE)
         if t.sons and s.sons:
             grid = [[build(tc, sc) for sc in s.sons] for tc in t.sons]

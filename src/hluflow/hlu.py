@@ -116,8 +116,9 @@ def make_plan(
     side is at most n // 4 (the grain of 2 workers), becomes one array
     (``_coalesce``): ``h`` keeps its block tree, its leaves views into those
     arrays, and ``plan.coarse`` holds each such node as one dense leaf, which
-    ``plan.skeleton`` numbers as one slot.  A second walk, over ``plan.coarse``,
-    applies the rule to its wider coalesced operands.  All of this is the same
+    ``plan.skeleton`` numbers as one slot.  Coalescing and a walk over
+    ``plan.coarse``, with its wider operands, repeat until that walk stores no
+    leaf dense; leaves only turn dense, so this ends.  All of this is the same
     in every mode and for any ``workers`` and ``wd_er``; ``seed`` is ignored.
     """
     if mode not in (SEQUENTIAL, PARALLEL):
@@ -126,8 +127,10 @@ def make_plan(
     coarse = h
     if h.rows == h.cols:
         _factor(_Formats(), h)
-        coarse = _coalesce(h, h.rows // 4)
-        _factor(_Formats(), coarse)
+        walk = None
+        while walk is None or walk.stored:
+            coarse, walk = _coalesce(h, h.rows // 4), _Formats()
+            _factor(walk, coarse)
     return HluPlan(
         matrix=h,
         skeleton=build_skeleton(coarse),
@@ -479,6 +482,8 @@ class _Formats:
     are final when the walk reaches an update.
     """
 
+    stored = 0  # leaves this walk stored dense
+
     def run(self, op, leaf):
         kind, c, a, b = op
         if not leaf:
@@ -486,6 +491,7 @@ class _Formats:
         elif kind == "update" and c.kind == LOWRANK and a.kind == b.kind == DENSE:
             if a.col_range[1] - a.col_range[0] >= min(c.rows, c.cols) / 2:
                 c.kind, c.data = DENSE, c.data.value()
+                self.stored += 1
 
 
 def _extent(op):

@@ -1,23 +1,27 @@
 """Laplace kernel matrices for d = 1, 2, 3 assembled in H-form.
 
 Inadmissible leaves are evaluated densely at the DoF points (collocation
-style, with a regularized value on coincident points).  Admissible leaves are
-approximated by Chebyshev tensor interpolation of the kernel on the bounding
-boxes and then recompressed by SVD.
+style, with a regularized value on coincident points), one kernel evaluation
+per block row.  Admissible leaves interpolate the kernel on Chebyshev tensor
+grids over the bounding boxes: each cluster's Lagrange factor u = q r is
+factored once, and the blocks of equal core shapes are recompressed together
+by one stacked SVD of their cores r_t core r_s^T.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import ADMISSIBLE, build_block_tree
+from .blocks import ADMISSIBLE, INADMISSIBLE, PARTITIONED, BlockNode, build_block_tree
 from .clustering import build_cluster_tree, DEFAULT_LEAFSIZE
 from .hmatrix import HMatrix, build_hmatrix
-from .lowrank import LowRank, TruncationControl, recompress
+from .lowrank import LowRank, TruncationControl, _kept_rank
 
 
 def default_order(d):
@@ -73,25 +77,47 @@ def kernel_eval(x, y, d):
 
 
 def _pairwise_distance(xs, ys):
-    """Distances between the rows of xs and ys, squares summed axis by axis."""
+    """Distances between the rows of xs and ys (after any leading stack axes)."""
     r2 = None
-    for a in range(xs.shape[1]):
-        da = xs[:, a, None] - ys[None, :, a]
+    for a in range(xs.shape[-1]):
+        da = xs[..., :, a, None] - ys[..., None, :, a]
         r2 = da * da if r2 is None else r2 + da * da
     return np.sqrt(r2)
 
 
+# Entries per dense kernel evaluation: longer rows' temporaries refault each row.
+_RUN_ENTRIES = 1 << 14
+
+
+def _dense_leaves(points, blocks, cfg: KernelConfig):
+    """Dense payloads of ``blocks``: one kernel evaluation per block row (in runs of
+    ``_RUN_ENTRIES``) against its blocks' concatenated column points."""
+    rows, runs = {}, []
+    for b in blocks:
+        run = rows.get(b.row)
+        if run is None or b.rows * (b.cols + sum(c.cols for c in run)) > _RUN_ENTRIES:
+            rows[b.row] = run = []
+            runs.append(run)
+        run.append(b)
+    out = {}
+    for run in runs:
+        t = run[0].row
+        ys = np.concatenate([points[b.col.start : b.col.end] for b in run])
+        r = _pairwise_distance(points[t.start : t.end], ys)
+        if not r.all():
+            if cfg.diag_distance is None:
+                raise ValueError("coincident points but no regularization distance set")
+            r[r == 0.0] = cfg.diag_distance
+        values = _kernel_of_distance(r, cfg.d)
+        for b, j in zip(run, itertools.accumulate((b.cols for b in run), initial=0)):
+            out[b] = values[:, j : j + b.cols].copy()
+    return out
+
+
 def assemble_dense_block(points, t, s, cfg: KernelConfig):
     """Dense kernel evaluation between the DoF points of two clusters."""
-    xs = points[t.start : t.end]
-    ys = points[s.start : s.end]
-    r = _pairwise_distance(xs, ys)
-    coincident = r == 0.0
-    if np.any(coincident):
-        if cfg.diag_distance is None:
-            raise ValueError("coincident points but no regularization distance set")
-        r = np.where(coincident, cfg.diag_distance, r)
-    return _kernel_of_distance(r, cfg.d)
+    b = BlockNode(t, s, INADMISSIBLE)
+    return _dense_leaves(points, [b], cfg)[b]
 
 
 # -- Chebyshev tensor interpolation ------------------------------------------
@@ -111,15 +137,14 @@ def lagrange_basis(nodes, x):
         return np.ones((x.shape[0], 1))
     # barycentric weights: row mu holds nodes[mu] - nodes[j] for j != mu
     off = (nodes[:, None] - nodes[None, :])[~np.eye(m, dtype=bool)].reshape(m, m - 1)
-    w = 1.0 / np.prod(off, axis=1)
+    w = 1.0 / off.prod(axis=1)
     diff = x[:, None] - nodes[None, :]
     hit = diff == 0.0
-    safe = np.where(hit, 1.0, diff)
-    terms = w[None, :] / safe
-    out = terms / np.sum(terms, axis=1, keepdims=True)
-    rows = np.any(hit, axis=1)
-    if np.any(rows):
-        out[rows] = 0.0
+    exact = hit.any()  # some x is a node: its row is the unit vector
+    terms = w / (np.where(hit, 1.0, diff) if exact else diff)
+    out = terms / terms.sum(axis=1, keepdims=True)
+    if exact:
+        out[hit.any(axis=1)] = 0.0
         out[hit] = 1.0
     return out
 
@@ -143,41 +168,60 @@ def _cluster_basis(points, cluster, order):
     return np.stack([g.reshape(-1) for g in mesh], axis=1), u
 
 
-def _interpolated_block(basis_t, basis_s, cfg: KernelConfig) -> LowRank:
-    (grid_t, ut), (grid_s, us) = basis_t, basis_s
-    r = _pairwise_distance(grid_t, grid_s)
-    if np.any(r == 0.0):
-        raise ValueError("interpolation grids coincide; block is not admissible")
-    core = _kernel_of_distance(r, cfg.d)
-    return recompress(LowRank(ut @ core, us), cfg.truncation)
+def _orthonormal_bases(points, clusters, order):
+    """cluster -> (grid, q, r), q r the thin QR of its Lagrange factor, stacked by shape."""
+    bases = {c: _cluster_basis(points, c, order) for c in clusters}
+    shapes = defaultdict(list)
+    for c, (_, u) in bases.items():
+        shapes[u.shape].append(c)
+    for group in shapes.values():
+        q, r = np.linalg.qr(np.stack([bases[c][1] for c in group]))
+        bases.update((c, (bases[c][0], q_c, r_c)) for c, q_c, r_c in zip(group, q, r))
+    return bases
+
+
+def _lowrank_leaves(points, blocks, cfg: KernelConfig):
+    """Low-rank payloads of admissible ``blocks``: u_t core u_s^T = q_t (r_t core
+    r_s^T) q_s^T, so each group of equal core shapes takes one stacked kernel
+    evaluation, product and SVD, truncated per block by ``_kept_rank``."""
+    bases = _orthonormal_bases(points, dict.fromkeys(c for b in blocks for c in (b.row, b.col)), cfg.order)
+    groups = defaultdict(list)
+    for b in blocks:
+        t, s = bases[b.row], bases[b.col]
+        groups[t[2].shape, s[2].shape].append((b, t, s))
+    out = {}
+    for members in groups.values():
+        _, ts, ss = zip(*members)
+        r = _pairwise_distance(np.stack([t[0] for t in ts]), np.stack([s[0] for s in ss]))
+        if not r.all():
+            raise ValueError("interpolation grids coincide; block is not admissible")
+        core = np.stack([t[2] for t in ts]) @ _kernel_of_distance(r, cfg.d) @ np.stack([s[2].T for s in ss])
+        u, sv, vt = np.linalg.svd(core, full_matrices=False)
+        for (b, t, s), k, u_b, s_b, vt_b in zip(members, _kept_rank(sv, cfg.truncation), u, sv, vt):
+            out[b] = LowRank(t[1] @ (u_b[:, :k] * s_b[:k]), s[1] @ vt_b[:k].T)
+    return out
 
 
 def assemble_lowrank_block(points, t, s, cfg: KernelConfig) -> LowRank:
     """Tensor-interpolated kernel block, recompressed to the tolerance."""
-    basis_t, basis_s = (_cluster_basis(points, c, cfg.order) for c in (t, s))
-    return _interpolated_block(basis_t, basis_s, cfg)
+    b = BlockNode(t, s, ADMISSIBLE)
+    return _lowrank_leaves(points, [b], cfg)[b]
 
 
 def assemble_hmatrix(block, points, cfg: KernelConfig) -> HMatrix:
     """Fill a block tree: admissible leaves low-rank, the rest dense.
 
-    Each cluster's basis is built once per call, however many admissible
-    blocks it spans; ``recompress`` returns fresh factors, so no leaf shares
-    memory with a basis.
+    Each cluster's grid and the thin QR of its Lagrange factor are built once
+    per call; admissible blocks are filled in groups of equal core shapes
+    (``_lowrank_leaves``), dense ones by block rows (``_dense_leaves``).
     """
-    bases = {}
+    def leaves(b):
+        return [x for row in b.sons for c in row for x in leaves(c)] if b.kind == PARTITIONED else [b]
 
-    def basis(c):
-        if c not in bases:
-            bases[c] = _cluster_basis(points, c, cfg.order)
-        return bases[c]
-
-    def payload(b):
-        if b.kind == ADMISSIBLE:
-            return _interpolated_block(basis(b.row), basis(b.col), cfg)
-        return assemble_dense_block(points, b.row, b.col, cfg)
-
-    return build_hmatrix(block, payload)
+    leaf_blocks = leaves(block)
+    payloads = _lowrank_leaves(points, [b for b in leaf_blocks if b.kind == ADMISSIBLE], cfg)
+    payloads.update(_dense_leaves(points, [b for b in leaf_blocks if b.kind != ADMISSIBLE], cfg))
+    return build_hmatrix(block, payloads.__getitem__)
 
 
 # -- built-in geometries ------------------------------------------------------

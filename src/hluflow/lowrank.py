@@ -81,13 +81,14 @@ class LowRank:
         return f"LowRank({m}x{n}, k={self.k})"
 
 
+def _kept_rank(s, ctl: TruncationControl):
+    """How many singular values (last axis) exceed eps * sigma_1, at most kmax."""
+    k = np.count_nonzero(s > ctl.eps * s[..., :1], axis=-1)
+    return k if ctl.kmax is None else np.minimum(k, ctl.kmax)
+
+
 def _truncate_svd(u, s, vt, ctl: TruncationControl):
-    if s.size == 0 or s[0] == 0.0:
-        k = 0
-    else:
-        k = int(np.count_nonzero(s > ctl.eps * s[0]))
-    if ctl.kmax is not None:
-        k = min(k, ctl.kmax)
+    k = int(_kept_rank(s, ctl))
     return LowRank(u[:, :k] * s[:k], vt[:k, :].T)
 
 

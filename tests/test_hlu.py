@@ -340,6 +340,21 @@ class TestCoalescing:
         assert any(leaf.kind == LOWRANK for leaf in rest)
 
     @pytest.mark.parametrize(
+        "d, n, leafsize, eta, slots",
+        [(2, 1024, 32, 0.5, 547), (3, 1024, 64, 1.0, 37), (1, 2048, 64, 0.5, 334)],
+        ids=["d2-1024", "bem3d", "bem1d"],
+    )
+    def test_coarse_tree_is_the_coalescing_of_the_final_formats(self, d, n, leafsize, eta, slots):
+        # a walk over the coarse tree can store further leaves dense; planning
+        # repeats coalescing until it stores none, so coalescing again changes nothing
+        import hluflow.hlu as hlu_module
+
+        template = make_bem_case(d, n, eta=eta, leafsize=leafsize, eps=1e-6).hmatrix
+        plan = make_plan(template.copy(), TruncationControl(1e-6))
+        assert plan.skeleton.size == slots
+        assert build_skeleton(hlu_module._coalesce(plan.matrix, n // 4)).size == slots
+
+    @pytest.mark.parametrize(
         "d, n, leafsize, eta, stored_dense",
         [(3, 1024, 64, 1.0, 20), (2, 512, 32, 0.5, 18)],
         ids=["bem3d", "d2"],
